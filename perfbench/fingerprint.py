@@ -43,6 +43,11 @@ class SpeedProbe:
         self._b = self._a[::-1].copy()
         #: (mid time, median probe seconds) of every burst, in time order.
         self.bursts: List[Tuple[float, float]] = []
+        # A few untimed calls first: the first calls in a fresh process also
+        # fault in the allocator's pages for the temporaries, and a slow first
+        # burst skews the set-up time it scales.
+        for _ in range(3):
+            np.abs(self._a - self._b).sum()
 
     def burst(self, seconds: float = 0.25) -> None:
         """Time the kernel back to back for about ``seconds`` (at least once)."""
