@@ -47,6 +47,7 @@ pickled.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -111,7 +112,15 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 
 class ProtocolError(ValueError):
-    """A malformed message on the wire."""
+    """A malformed message on the wire.
+
+    ``handle`` names the stream a malformed FRAME was addressed to, when its
+    header parsed; ``None`` otherwise.
+    """
+
+    def __init__(self, message: str, handle: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.handle = handle
 
 
 def encode_message(msg_type: int, body: bytes = b"") -> bytes:
@@ -151,19 +160,42 @@ def _truth_to_json(truth: Optional[Sequence[Detection]]) -> bytes:
     return json.dumps(items).encode("utf-8")
 
 
-def _truth_from_json(blob: bytes) -> Optional[List[Detection]]:
+def _is_number(value: object) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return math.isfinite(value)
+
+
+def _detection_from_json(item: object) -> Detection:
+    if not isinstance(item, dict):
+        raise TypeError(f"truth entries must be JSON objects, got {type(item).__name__}")
+    values = [item["x"], item["y"], item["w"], item["h"], item.get("score", 1.0)]
+    if not all(_is_number(value) for value in values):
+        raise ValueError(f"truth box and score must be finite numbers, got {values}")
+    label = item.get("label", "object")
+    object_id = item.get("object_id")
+    if not isinstance(label, str):
+        raise TypeError(f"truth label must be a string, got {label!r}")
+    if object_id is not None and (not isinstance(object_id, int) or isinstance(object_id, bool)):
+        raise TypeError(f"truth object_id must be an integer, got {object_id!r}")
+    return Detection(
+        box=BoundingBox(*values[:4]), label=label, score=values[4], object_id=object_id
+    )
+
+
+def _truth_from_json(blob: bytes, handle: int) -> Optional[List[Detection]]:
+    """Parse a FRAME's truth blob; any malformed blob raises :class:`ProtocolError`."""
     if not blob:
         return None
-    items = json.loads(blob.decode("utf-8"))
-    return [
-        Detection(
-            box=BoundingBox(d["x"], d["y"], d["w"], d["h"]),
-            label=d.get("label", "object"),
-            score=d.get("score", 1.0),
-            object_id=d.get("object_id"),
-        )
-        for d in items
-    ]
+    try:
+        items = json.loads(blob.decode("utf-8"))
+        if not isinstance(items, list):
+            raise TypeError(f"truth must be a JSON list, got {type(items).__name__}")
+        return [_detection_from_json(item) for item in items]
+    # UnicodeDecodeError and json.JSONDecodeError are ValueErrors; an
+    # integer too large for a float overflows in the finiteness check.
+    except (TypeError, KeyError, ValueError, OverflowError) as error:
+        raise ProtocolError(f"malformed FRAME truth: {error!r}", handle=handle) from error
 
 
 def encode_frame(
@@ -205,9 +237,10 @@ def decode_frame(
     if len(view) != offset + truth_len + height * width:
         raise ProtocolError(
             f"FRAME length mismatch: {len(view)} bytes for "
-            f"{height}x{width} + {truth_len} truth"
+            f"{height}x{width} + {truth_len} truth",
+            handle=handle,
         )
-    truth = _truth_from_json(bytes(view[offset : offset + truth_len]))
+    truth = _truth_from_json(bytes(view[offset : offset + truth_len]), handle)
     offset += truth_len
     frame = np.frombuffer(view, dtype=np.uint8, offset=offset).reshape(height, width)
     return handle, seq, frame, truth

@@ -252,7 +252,15 @@ class EuphratesServer:
     def _handle_message(self, conn: _Connection, msg_type: int, body: bytes) -> bool:
         """Process one message; returns False to end the connection."""
         if msg_type == MSG_FRAME:
-            handle, seq, frame, truth = decode_frame(body)
+            try:
+                handle, seq, frame, truth = decode_frame(body)
+            except ProtocolError as error:
+                if error.handle is None:
+                    raise
+                # A FRAME malformed past its header fails its own stream
+                # only; the connection keeps serving its other streams.
+                self._fail_handle(conn, error.handle, error, settle=True)
+                return True
             stream_id = conn.handles.get(handle)
             if stream_id is None:
                 self._offer(
@@ -263,15 +271,7 @@ class EuphratesServer:
             try:
                 self.ingest.push_frame(stream_id, seq, frame, truth)
             except (StreamFailedError, ShardError) as error:
-                conn.handles.pop(handle, None)
-                self.ingest.abort_stream(stream_id)
-                self._offer(
-                    conn,
-                    encode_json(
-                        MSG_ERROR,
-                        {"handle": handle, "stream": stream_id, "reason": str(error)},
-                    ),
-                )
+                self._fail_handle(conn, handle, error, settle=False)
             return True
         if msg_type == MSG_HELLO:
             self._handle_hello(conn, decode_json(body))
@@ -292,6 +292,24 @@ class EuphratesServer:
             encode_json(MSG_ERROR, {"reason": f"unknown message type {msg_type}"}),
         )
         return True
+
+    def _fail_handle(
+        self, conn: _Connection, handle: int, error: Exception, *, settle: bool
+    ) -> None:
+        """Tear down ``handle``'s stream and answer ERROR naming the handle.
+
+        A stream whose session already failed is dropped as is; a healthy
+        one (``settle``) is settled like a disconnect, its results discarded.
+        """
+        reply = {"handle": handle, "reason": str(error)}
+        stream_id = conn.handles.pop(handle, None)
+        if stream_id is not None:
+            reply["stream"] = stream_id
+            if settle:
+                self._settle_stream(stream_id)
+            else:
+                self.ingest.abort_stream(stream_id)
+        self._offer(conn, encode_json(MSG_ERROR, reply))
 
     def _handle_hello(self, conn: _Connection, config: dict) -> None:
         handle = int(config.get("handle", len(conn.handles)))

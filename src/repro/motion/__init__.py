@@ -26,7 +26,6 @@ from .kernels import (
 )
 from .motion_field import MacroblockGrid, MotionField
 from .reference import scalar_estimate
-from .sad import sum_of_absolute_differences
 
 __all__ = [
     "BlockMatcher",
@@ -42,7 +41,6 @@ __all__ = [
     "MacroblockGrid",
     "MotionField",
     "scalar_estimate",
-    "sum_of_absolute_differences",
     "exhaustive_search_ops_per_macroblock",
     "three_step_search_ops_per_macroblock",
 ]

@@ -52,6 +52,7 @@ import numpy as np
 from . import kernels_numba
 from .kernels import KERNEL_BACKENDS, KernelScratch, SadKernel
 from .motion_field import MacroblockGrid, MotionField
+from .reference import tss_initial_step
 
 
 class SearchStrategy(Enum):
@@ -450,37 +451,49 @@ class BlockMatcher:
     def _three_step(self, kernel: SadKernel) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized TSS: every step evaluates all macroblocks at once.
 
-        Each macroblock carries its own search center, so a candidate is a
-        per-block offset array; the nine candidates of a step are visited in
-        the same order as the scalar reference and accepted only on strict
-        SAD improvement, which reproduces its tie-breaking bit for bit.
+        Each macroblock carries its own search center, so one
+        :meth:`SadKernel.sad_around` call scores the eight neighbours of every
+        block's center (the first step also scores the center itself).  The
+        scalar reference visits a step's candidates in a fixed order and
+        accepts one only on strict SAD improvement, so it ends on the
+        *first* candidate reaching the step's minimum SAD, provided that
+        minimum beats the center; ``argmin`` (first occurrence) over the
+        candidates in that same order picks exactly it, bit for bit.
         """
         d = self.config.search_range
-        rows, cols = kernel.rows, kernel.cols
+        center_dy = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
+        center_dx = np.zeros_like(center_dy)
+        best_sad = None
 
-        center_dy = np.zeros((rows, cols), dtype=np.int64)
-        center_dx = np.zeros((rows, cols), dtype=np.int64)
-        best_sad = kernel.sad_per_block(0, 0)
-
-        step = max(1, 2 ** (max(0, int(math.ceil(math.log2(d + 1))) - 1)))
+        step = tss_initial_step(d)
         while step >= 1:
             # Candidates are relative to the step's starting center; the
             # best strictly-improving one becomes the next step's center.
-            base_dy, base_dx = center_dy, center_dx
-            for ndy in (-step, 0, step):
-                for ndx in (-step, 0, step):
-                    if ndy == 0 and ndx == 0:
-                        continue
-                    dy = base_dy + ndy
-                    dx = base_dx + ndx
-                    valid = (np.abs(dy) <= d) & (np.abs(dx) <= d)
-                    if not valid.any():
-                        continue
-                    sad = kernel.sad_per_block(np.clip(dy, -d, d), np.clip(dx, -d, d))
-                    improved = valid & (sad < best_sad)
-                    best_sad = np.where(improved, sad, best_sad)
-                    center_dy = np.where(improved, dy, center_dy)
-                    center_dx = np.where(improved, dx, center_dx)
+            ndy, ndx = np.array(
+                [(y, x) for y in (-step, 0, step) for x in (-step, 0, step) if y or x]
+            ).T
+            invalid = None
+            if step + max(np.abs(center_dy).max(), np.abs(center_dx).max()) > d:
+                invalid = (np.abs(center_dy + ndy[:, None, None]) > d) | (
+                    np.abs(center_dx + ndx[:, None, None]) > d
+                )
+                # Candidates outside the window for every block are not scored.
+                scored = ~invalid.all(axis=(1, 2))
+                ndy, ndx, invalid = ndy[scored], ndx[scored], invalid[scored]
+            first = best_sad is None
+            offsets = [(0, 0)] * first + list(zip(ndy.tolist(), ndx.tolist()))
+            sads = kernel.sad_around(center_dy, center_dx, offsets)
+            if first:
+                best_sad, sads = sads[0], sads[1:]
+            if len(sads):
+                if invalid is not None:
+                    sads[invalid] = np.inf
+                winner = np.argmin(sads, axis=0)
+                sad = np.take_along_axis(sads, winner[None], axis=0)[0]
+                improved = sad < best_sad
+                best_sad = np.where(improved, sad, best_sad)
+                center_dy = center_dy + np.where(improved, ndy[winner], 0)
+                center_dx = center_dx + np.where(improved, ndx[winner], 0)
             step //= 2
 
         vectors = np.stack([-center_dx, -center_dy], axis=-1).astype(np.float64)

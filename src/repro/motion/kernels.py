@@ -1,12 +1,11 @@
 """Shared per-offset SAD kernels for the block-matching strategies.
 
-Both search strategies reduce to the same primitive: "evaluate the SAD of
-every macroblock against the previous frame displaced by some offset".
-Exhaustive search evaluates one *global* offset per candidate; three-step
-search evaluates a *per-block* offset per candidate (each block carries its
-own search center).  :class:`SadKernel` serves both, processing the whole
-macroblock grid with a handful of NumPy dispatches per candidate instead of
-a Python loop over macroblocks.
+Both search strategies evaluate "the SAD of every macroblock against the
+previous frame displaced by some offset".  Exhaustive search evaluates one
+*global* offset per candidate (:meth:`SadKernel.sad_uniform`); three-step
+search scores the neighbours of a *per-block* center, one step at a time
+(:meth:`SadKernel.sad_around`).  Either way the whole macroblock grid costs a
+handful of NumPy dispatches per candidate instead of a Python loop.
 
 Two execution modes, picked automatically per frame pair:
 
@@ -14,7 +13,7 @@ Two execution modes, picked automatically per frame pair:
   realistic case: luma planes are 8-bit in a real ISP), every SAD is an
   integer small enough that float64 arithmetic on it is exact regardless of
   summation order.  The kernel therefore runs in narrow integer dtypes
-  (uint8 absolute differences, int64 accumulation), which cuts memory
+  (uint8 absolute differences, uint16-int64 accumulation), which cuts memory
   traffic ~8x versus float64 and lets uniform offsets use cheap whole-frame
   shifted differences.  Results are bit-identical to the scalar float64
   reference by exactness.
@@ -56,12 +55,10 @@ from . import kernels_numba
 #: guarantees every SAD stays far below 2**53 so float64 sums are exact.
 _MAX_EXACT_INT = 2**20
 
-#: Most *distinct* per-block displacements :meth:`SadKernel.sad_per_block`
-#: serves with grouped whole-frame passes before falling back to the gather
-#: kernel.  Each group costs one shifted-difference pass over the frame, so
-#: past a few groups the gather's single pass (plus its indexing overhead)
-#: wins again.
-_GROUPED_OFFSET_LIMIT = 3
+#: Bytes of current-frame blocks per band of block rows :meth:`SadKernel.sad_around`
+#: scores at a time, so a band's neighbourhoods, blocks and differences stay
+#: in a core's L2 cache across all of a step's candidates.
+_BAND_BYTES = 2**18
 
 #: Kernel backends selectable through ``PipelineSpec(kernel_backend=...)``.
 #: ``numpy`` is the default and the performance oracle the compiled backend
@@ -110,24 +107,23 @@ def _bounded_integer_valued(frame: np.ndarray) -> bool:
     return bool((frame == np.floor(frame)).all())
 
 
+def _integer_frame_bounded(frame: np.ndarray) -> bool:
+    """True unless an integer frame wider than 16 bits exceeds the exact bound."""
+    return frame.dtype.itemsize <= 2 or not frame.size or (
+        -_MAX_EXACT_INT <= int(frame.min()) and int(frame.max()) <= _MAX_EXACT_INT
+    )
+
+
 def frames_are_integer(*frames: np.ndarray) -> bool:
     """True when every frame holds only integer values of bounded magnitude.
 
     Integer dtypes qualify immediately; float frames are value-checked.
     """
-    for frame in frames:
-        if np.issubdtype(frame.dtype, np.integer):
-            if frame.dtype.itemsize > 2:
-                if frame.size and (
-                    int(frame.min()) < -_MAX_EXACT_INT or int(frame.max()) > _MAX_EXACT_INT
-                ):
-                    return False
-            continue
-        if not np.issubdtype(frame.dtype, np.floating):
-            return False
-        if not _bounded_integer_valued(frame):
-            return False
-    return True
+    return all(
+        _integer_frame_bounded(frame) if np.issubdtype(frame.dtype, np.integer)
+        else np.issubdtype(frame.dtype, np.floating) and _bounded_integer_valued(frame)
+        for frame in frames
+    )
 
 
 def fixed_point_scale(*frames: np.ndarray) -> Optional[int]:
@@ -142,19 +138,14 @@ def fixed_point_scale(*frames: np.ndarray) -> Optional[int]:
     """
     if frames_are_integer(*frames):
         return 1
-    float_frames = []
-    for frame in frames:
-        if np.issubdtype(frame.dtype, np.integer):
-            # Integer frames lie on every lattice; only the magnitude bound
-            # (which scaling tightens by at most 2**8) needs checking.
-            if frame.dtype.itemsize > 2 and frame.size and (
-                int(frame.min()) < -_MAX_EXACT_INT or int(frame.max()) > _MAX_EXACT_INT
-            ):
-                return None
-            continue
-        if not np.issubdtype(frame.dtype, np.floating):
-            return None
-        float_frames.append(frame)
+    float_frames = [frame for frame in frames if np.issubdtype(frame.dtype, np.floating)]
+    integer_frames = [frame for frame in frames if np.issubdtype(frame.dtype, np.integer)]
+    # Integer frames lie on every lattice; only the magnitude bound (which
+    # scaling tightens by at most 2**8) needs checking.
+    if len(float_frames) + len(integer_frames) < len(frames) or not all(
+        _integer_frame_bounded(frame) for frame in integer_frames
+    ):
+        return None
     for frac_bits in _FRAC_BITS_CANDIDATES:
         scale = 1 << frac_bits
         if all(_bounded_integer_valued(frame * scale) for frame in float_frames):
@@ -291,14 +282,23 @@ class SadKernel:
             else "numpy"
         )
 
-        pool = scratch if scratch is not None else KernelScratch()
+        self._pool = pool = scratch if scratch is not None else KernelScratch()
         if self.exact_integer:
             if self.scale != 1:
                 # Lattice values times a power of two are exact integers in
-                # float64; rint only normalises the float representation.
-                current = np.rint(np.asarray(current, dtype=np.float64) * self.scale)
-                previous = np.rint(np.asarray(previous, dtype=np.float64) * self.scale)
-            work = self._integer_dtype(current, previous)
+                # float64 (and below 2**28), so the int32 cast is exact.
+                current = (np.asarray(current, dtype=np.float64) * self.scale).astype(np.int32)
+                previous = (np.asarray(previous, dtype=np.float64) * self.scale).astype(np.int32)
+            # Bounds of the frames' values (a uint8 frame counts as 0..255).
+            bounds = [
+                (0.0, 255.0) if f.dtype == np.uint8 else (float(f.min()), float(f.max()))
+                for f in (current, previous)
+                if f.size
+            ] or [(0.0, 0.0)]
+            low, high = min(b[0] for b in bounds), max(b[1] for b in bounds)
+            # Narrowest working dtype whose differences cannot overflow.
+            wide = np.int16 if -(2.0**14) <= low and high < 2.0**14 else np.int32
+            work = np.dtype(np.uint8 if low >= 0.0 and high <= 255.0 else wide)
             self._current = np.ascontiguousarray(current, dtype=work)
             self._padded = _edge_pad_pooled(
                 np.asarray(previous, dtype=work), search_range, pool
@@ -314,17 +314,10 @@ class SadKernel:
             # every partial sum exactly (all terms are non-negative bounded
             # integers), so the BLAS reduction is bit-equal to the integer
             # sum while running ~3x faster than a strided integer reduction.
-            if work == np.uint8:
-                max_diff = 255.0
-            elif self._current.size:
-                lo = min(float(self._current.min()), float(self._padded.min()))
-                hi = max(float(self._current.max()), float(self._padded.max()))
-                max_diff = hi - lo
-            else:
-                max_diff = 0.0
-            self._f32_reduction_exact = (
-                max_diff * block_size * block_size < float(2**24)
-            )
+            max_diff = 255.0 if work == np.uint8 else high - low
+            #: Largest SAD any block can reach, which bounds every accumulator.
+            self._max_block_sad = max_diff * block_size * block_size
+            self._f32_reduction_exact = self._max_block_sad < float(2**24)
             self._ones_f32 = np.ones(block_size, dtype=np.float32)
             # Scratch reused across the ~25 SAD evaluations a search makes
             # with one kernel (and, via a caller-supplied pool, across the
@@ -337,9 +330,6 @@ class SadKernel:
                 if self._f32_reduction_exact
                 else None
             )
-            block_shape = (self.rows, self.cols, block_size * block_size)
-            self._block_diff = pool.get("block_diff", block_shape, work)
-            self._block_diff2 = pool.get("block_diff2", block_shape, work)
         else:
             self._current = np.ascontiguousarray(current, dtype=np.float64)
             self._padded = _edge_pad_pooled(
@@ -367,24 +357,22 @@ class SadKernel:
         # Lazily-built partial-sum pruning tables (exact-integer mode only).
         self._block_sums: Optional[np.ndarray] = None
         self._window_sums: Optional[np.ndarray] = None
+        # Pixel-major bands of the current blocks, built on sad_around's first call.
+        self._bands: Optional[list] = None
 
-    @staticmethod
-    def _integer_dtype(current: np.ndarray, previous: np.ndarray) -> np.dtype:
-        """Narrowest working dtype whose difference cannot overflow."""
-        lows = []
-        highs = []
-        for frame in (current, previous):
-            if frame.dtype == np.uint8:
-                lows.append(0.0)
-                highs.append(255.0)
-            elif frame.size:
-                lows.append(float(frame.min()))
-                highs.append(float(frame.max()))
-        low = min(lows) if lows else 0.0
-        high = max(highs) if highs else 0.0
-        if low >= 0.0 and high <= 255.0:
-            return np.dtype(np.uint8)
-        return np.dtype(np.int32)
+    def _pixel_major_bands(self) -> list:
+        """``(first row, stop row, current blocks as (L, L, n))`` per band."""
+        L = self.block_size
+        band_rows = max(1, _BAND_BYTES // (L * self.frame_width * self._current.itemsize))
+        flat = self._pool.get("current_bands", (self._current.size,), self._current.dtype)
+        bands = []
+        for first in range(0, self.rows, band_rows):
+            stop = min(first + band_rows, self.rows)
+            band = flat[first * L * self.frame_width : stop * L * self.frame_width]
+            tiles = self._current[first * L : stop * L].reshape(stop - first, L, self.cols, L)
+            np.copyto(band.reshape(L, L, stop - first, self.cols), tiles.transpose(1, 3, 0, 2))
+            bands.append((first, stop, band.reshape(L, L, -1)))
+        return bands
 
     def _descale(self, sad: np.ndarray) -> np.ndarray:
         """Integer SAD back to frame units (exact: scale is a power of two)."""
@@ -474,9 +462,8 @@ class SadKernel:
     def sad_per_block(self, dy, dx) -> np.ndarray:
         """SAD of every macroblock at per-block displacements.
 
-        The three-step-search primitive: ``dy``/``dx`` are scalars or
-        ``(rows, cols)`` integer arrays.  Bit-identical to the scalar
-        reference loops in both modes.  Returns ``(rows, cols)`` float64.
+        ``dy``/``dx`` are scalars or ``(rows, cols)`` integer arrays.  Returns
+        ``(rows, cols)`` float64, bit-identical to the scalar reference loops.
         """
         if self.active_backend == "numba":
             shape = (self.rows, self.cols)
@@ -492,15 +479,87 @@ class SadKernel:
             )
             return self._descale(out)
         if self.exact_integer:
-            grouped = self._grouped_sad_int(dy, dx)
-            if grouped is not None:
-                return grouped
-            return self._gathered_sad_int(dy, dx)
+            return self.sad_around(dy, dx, [(0, 0)])[0]
         references = self._windows[self._base_y + dy, self._base_x + dx]
         # The ufunc output is C-contiguous, so the trailing-axes reduction
         # runs over each block's L*L contiguous elements — the same pairwise
         # order as the scalar reference's contiguous per-block sums.
         return np.abs(self._current_blocks - references).sum(axis=(2, 3))
+
+    def sad_around(self, center_dy, center_dx, offsets: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """SAD of every macroblock at ``center + offset``, for each offset.
+
+        The three-step-search primitive: ``center_dy``/``center_dx`` are
+        scalars or ``(rows, cols)`` integer arrays inside the search window,
+        ``offsets`` one step's ``(ndy, ndx)`` candidates.  Returns
+        ``(len(offsets), rows, cols)`` float64; entries whose displacement
+        leaves the window are unspecified (the caller masks them).
+
+        In exact-integer NumPy mode each block's radius-``max |offset|``
+        neighbourhood is copied once into a pixel-major ``(N, N, blocks)``
+        buffer; every candidate is a view of it, scored by a few contiguous
+        ufunc passes over all blocks.  Float mode and the numba backend run
+        :meth:`sad_per_block` per candidate, window-clipped.
+        """
+        shape = (self.rows, self.cols)
+        center_dy = np.broadcast_to(np.asarray(center_dy, dtype=np.int64), shape)
+        center_dx = np.broadcast_to(np.asarray(center_dx, dtype=np.int64), shape)
+        d = self.search_range
+        if not self.exact_integer or self.active_backend == "numba":
+            moved = [(center_dy + y, center_dx + x) for y, x in offsets]
+            clipped = [(np.clip(y, -d, d), np.clip(x, -d, d)) for y, x in moved]
+            return np.stack([self.sad_per_block(y, x) for y, x in clipped])
+        L = self.block_size
+        radius = max(max(abs(ndy), abs(ndx)) for ndy, ndx in offsets)
+        size = L + 2 * radius
+        # Candidates past the window read beyond the d-pixel padding, so widen
+        # it: edge padding twice is one wider edge padding, same pixels inside.
+        margin = max(0, radius + int(max(np.abs(center_dy).max(), np.abs(center_dx).max())) - d)
+        source = np.pad(self._padded, margin, mode="edge") if margin else self._padded
+        windows = sliding_window_view(source, (size, size))
+        # Top-left corner, in ``windows``, of every block's neighbourhood.
+        tops = self._base_y + margin - radius + center_dy
+        lefts = self._base_x + margin - radius + center_dx
+        shared = (center_dy == center_dy[0, 0]).all() and (center_dx == center_dx[0, 0]).all()
+
+        dtype = self._current.dtype
+        bound = self._max_block_sad
+        if dtype == np.uint8 and bound < 2**16:
+            accum = np.uint16
+        else:
+            accum = np.int32 if bound < 2**31 else np.int64
+        if self._bands is None:
+            self._bands = self._pixel_major_bands()
+        largest = self._bands[0][2].shape[-1]
+        pooled = self._pool.get(f"tss_neighbourhood{size}", (size * size * largest,), dtype)
+        scratch = self._pool.get("tss_diff", (2 * L * L * largest,), dtype)
+        sads = np.empty((len(offsets), self.rows * self.cols), dtype=accum)
+        for first, stop, current in self._bands:
+            blocks = current.shape[-1]
+            if shared:
+                # One shared center: the neighbourhoods are a strided view of
+                # the padded frame, copied without any index arrays.
+                strided = windows[tops[first, 0] :: L, lefts[0, 0] :: L]
+                patches = strided[: stop - first, : self.cols]
+            else:
+                patches = windows[tops[first:stop], lefts[first:stop]]
+            neighbourhood = pooled[: size * size * blocks].reshape(size, size, blocks)
+            grid = neighbourhood.reshape(size, size, stop - first, self.cols)
+            np.copyto(grid, patches.transpose(2, 3, 0, 1))
+            diff, diff2 = scratch[: 2 * L * L * blocks].reshape(2, L, L, blocks)
+            for index, (ndy, ndx) in enumerate(offsets):
+                top, left = radius + ndy, radius + ndx
+                reference = neighbourhood[top : top + L, left : left + L]
+                if dtype == np.uint8:
+                    np.maximum(current, reference, out=diff)
+                    np.minimum(current, reference, out=diff2)
+                    np.subtract(diff, diff2, out=diff)
+                else:
+                    np.subtract(current, reference, out=diff)
+                    np.abs(diff, out=diff)
+                out = sads[index, first * self.cols : stop * self.cols]
+                np.add.reduce(diff.reshape(L * L, blocks), axis=0, dtype=accum, out=out)
+        return self._descale(sads).reshape((len(offsets),) + shape)
 
     def sad_subset(self, dy: int, dx: int, rows_idx, cols_idx) -> np.ndarray:
         """SAD at one global displacement for a subset of macroblocks.
@@ -710,62 +769,3 @@ class SadKernel:
             int(lower_bound_checks),
             offsets_skipped,
         )
-
-    # ------------------------------------------------------------------
-    # Exact-integer gather kernel
-    # ------------------------------------------------------------------
-    def _grouped_sad_int(self, dy, dx) -> Optional[np.ndarray]:
-        """Per-block SADs via whole-frame passes grouped by unique offset.
-
-        Three-step search starts every block at the same center, so early
-        candidate evaluations carry only a handful of *distinct* per-block
-        displacements.  Each distinct offset is then served by one uniform
-        whole-frame shifted-difference pass (:meth:`sad_uniform`'s fast
-        path) and masked into place — far cheaper than the fancy-index
-        gather, and bit-identical by integer exactness.  Returns ``None``
-        when the offsets are too diverse for grouping to pay off (the
-        gather kernel handles those).
-        """
-        dy_arr = np.asarray(dy)
-        dx_arr = np.asarray(dx)
-        if dy_arr.ndim == 0 and dx_arr.ndim == 0:
-            return self.sad_uniform(int(dy_arr), int(dx_arr))
-        shape = (self.rows, self.cols)
-        span = 2 * self.search_range + 1
-        keys = (
-            np.broadcast_to(dy_arr, shape).astype(np.int64) + self.search_range
-        ) * span + (
-            np.broadcast_to(dx_arr, shape).astype(np.int64) + self.search_range
-        )
-        unique_keys = np.unique(keys)
-        if unique_keys.size > _GROUPED_OFFSET_LIMIT:
-            return None
-        out = np.empty(shape, dtype=np.float64)
-        for key in unique_keys:
-            offset_dy = int(key) // span - self.search_range
-            offset_dx = int(key) % span - self.search_range
-            mask = keys == key
-            out[mask] = self.sad_uniform(offset_dy, offset_dx)[mask]
-        return out
-
-    def _gathered_sad_int(self, dy, dx) -> np.ndarray:
-        references = self._windows[self._base_y + dy, self._base_x + dx]
-        # Flatten each block's (L, L) patch to L*L before the element-wise
-        # ops: both operands are C-contiguous, so the flat view hands the
-        # ufunc inner loop L*L contiguous elements instead of L, amortising
-        # its per-row setup (~3x on 16x16 blocks).  Identical values —
-        # element-wise ops don't care about the shape.
-        flat_refs = references.reshape(references.shape[0], references.shape[1], -1)
-        flat_blocks = self._current_blocks.reshape(
-            self.rows, self.cols, -1
-        )
-        diff = self._block_diff
-        if flat_blocks.dtype == np.uint8:
-            np.maximum(flat_blocks, flat_refs, out=diff)
-            np.minimum(flat_blocks, flat_refs, out=self._block_diff2)
-            np.subtract(diff, self._block_diff2, out=diff)
-        else:
-            np.subtract(flat_blocks, flat_refs, out=diff)
-            np.abs(diff, out=diff)
-        sad = diff.sum(axis=-1, dtype=self._accum_dtype)
-        return self._descale(sad)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +89,41 @@ class TestProtocol:
         body = bytearray(wire)[5:]
         with pytest.raises(ProtocolError, match="length mismatch"):
             decode_frame(body[:-3])
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\xff\xfe",  # not UTF-8
+            b"[{",  # not JSON
+            b'{"x": 1}',  # not a list
+            b"[1]",  # entry not an object
+            b'[{"x": 1, "y": 2, "w": 3}]',  # missing key
+            b'[{"x": "a", "y": 2, "w": 3, "h": 4}]',  # non-numeric coordinate
+            b'[{"x": true, "y": 2, "w": 3, "h": 4}]',  # boolean coordinate
+            b'[{"x": NaN, "y": 2, "w": 3, "h": 4}]',  # non-finite coordinate
+            b'[{"x": 1e999, "y": 2, "w": 3, "h": 4}]',  # infinite coordinate
+            b'[{"x": 1' + b"0" * 400 + b', "y": 2, "w": 3, "h": 4}]',  # float overflow
+            b'[{"x": 1, "y": 2, "w": -3, "h": 4}]',  # negative extent
+            b'[{"x": 1, "y": 2, "w": 3, "h": 4, "score": "hi"}]',  # bad score
+            b'[{"x": 1, "y": 2, "w": 3, "h": 4, "label": 7}]',  # bad label
+            b'[{"x": 1, "y": 2, "w": 3, "h": 4, "object_id": 1.5}]',  # bad id
+        ],
+    )
+    def test_malformed_truth_raises_protocol_error_naming_the_handle(self, blob):
+        frame = _frame(2)
+        body = (
+            struct.pack(">IIHHI", 5, 9, frame.shape[0], frame.shape[1], len(blob))
+            + blob
+            + frame.tobytes()
+        )
+        with pytest.raises(ProtocolError, match="malformed FRAME truth") as raised:
+            decode_frame(body)
+        assert raised.value.handle == 5
+
+    def test_protocol_errors_without_a_parsed_header_name_no_handle(self):
+        with pytest.raises(ProtocolError, match="too short") as raised:
+            decode_frame(b"\x00" * 5)
+        assert raised.value.handle is None
 
     def test_rejects_bad_length(self):
         with pytest.raises(ProtocolError, match="bad message length"):

@@ -147,3 +147,100 @@ class TestVectorizedEqualsOracle:
         previous = np.full((40, 40), 100.0)
         _assert_matches_oracle(current, previous, 8, 7, SearchStrategy.THREE_STEP)
         _assert_matches_oracle(current, previous, 8, 7, SearchStrategy.EXHAUSTIVE)
+
+
+def _neighbours(step):
+    return [(y, x) for y in (-step, 0, step) for x in (-step, 0, step) if y or x]
+
+
+class TestStepNeighbourhood:
+    """``SadKernel.sad_around``, the three-step-search primitive, is exact.
+
+    Its integer path scores every candidate from one pixel-major copy of
+    each block's neighbourhood; the searches built on it must still equal
+    the scalar oracle bit for bit in every regime the copy has to handle.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        block_size=st.sampled_from([4, 8, 16, 32]),
+        search_range=st.sampled_from([0, 1, 3, 7, 10, 15]),
+        height=st.integers(5, 72),
+        width=st.integers(5, 72),
+        frac_bits=st.sampled_from([0, 4, 8]),
+    )
+    def test_tss_matches_oracle(self, seed, block_size, search_range, height, width, frac_bits):
+        rng = np.random.default_rng(seed)
+        previous = rng.integers(0, 256, (height, width))
+        shift = rng.integers(-search_range - 2, search_range + 3, 2)
+        current = np.roll(previous, tuple(shift), axis=(0, 1))
+        noisy = rng.random((height, width)) < 0.2
+        current[noisy] = rng.integers(0, 256, int(noisy.sum()))
+        if frac_bits:
+            # Fixed-point values: the kernel scales them to integers, int16
+            # for Q8.4 and int32 for the finer Q8.8 lattice.
+            scale = 2**frac_bits
+            current = (current * scale + rng.integers(0, scale, current.shape)) / scale
+            previous = (previous * scale + rng.integers(0, scale, previous.shape)) / scale
+        else:
+            current = current.astype(np.uint8)
+            previous = previous.astype(np.uint8)
+        matcher = BlockMatcher(
+            BlockMatchingConfig(block_size=block_size, search_range=search_range)
+        )
+        field = matcher.estimate(current, previous)
+        oracle = scalar_estimate(
+            current, previous, block_size=block_size, search_range=search_range
+        )
+        assert matcher.last_kernel_exact
+        assert matcher.last_kernel_scale == 2**frac_bits
+        assert np.array_equal(field.vectors, oracle.vectors)
+        assert np.array_equal(field.sad, oracle.sad)
+
+    def test_uint8_sads_wider_than_uint16(self):
+        # 32x32 blocks of unrelated uint8 noise: SADs pass 2**16, so a
+        # uint16 accumulator would wrap.
+        rng = np.random.default_rng(11)
+        current = rng.integers(0, 256, (80, 100)).astype(np.uint8)
+        previous = rng.integers(0, 256, (80, 100)).astype(np.uint8)
+        _assert_matches_oracle(current, previous, 32, 7, SearchStrategy.THREE_STEP)
+        field = BlockMatcher(BlockMatchingConfig(block_size=32)).estimate(current, previous)
+        assert field.sad.max() > 2**16
+
+    def _moved_top_half(self):
+        # The top half shifts by one first-step offset and the bottom half
+        # stays: after the first step some block centers coincide, not all.
+        rng = np.random.default_rng(5)
+        previous = rng.integers(0, 256, (64, 96)).astype(np.uint8)
+        current = previous.copy()
+        current[:32] = np.roll(previous, 4, axis=1)[:32]
+        return current, previous
+
+    def test_partly_shared_centers_match_oracle(self):
+        current, previous = self._moved_top_half()
+        matcher = BlockMatcher(BlockMatchingConfig(block_size=16, search_range=7))
+        field = matcher.estimate(current, previous)
+        assert set(map(tuple, field.vectors.reshape(-1, 2))) >= {(0.0, 0.0), (4.0, 0.0)}
+        _assert_matches_oracle(current, previous, 16, 7, SearchStrategy.THREE_STEP)
+
+    @pytest.mark.parametrize("search_range", [3, 7, 10])
+    def test_shared_and_gathered_neighbourhoods_equal_float_mode(self, search_range):
+        current, previous = self._moved_top_half()
+        fast = SadKernel(current, previous, 16, search_range)
+        slow = SadKernel(current, previous, 16, search_range, exact_integer=False)
+        assert fast.exact_integer and not slow.exact_integer
+        d = search_range
+        shared = np.zeros((fast.rows, fast.cols), dtype=np.int64)
+        mixed = shared.copy()
+        mixed[: fast.rows // 2] = -min(4, d)  # some centers coincide, not all
+        mixed[0, 0] = d  # candidates past the window: masked by callers
+        for center_dy, center_dx in ((shared, shared), (shared, mixed), (mixed, mixed)):
+            for step in (1, 2, 4):
+                offsets = [(0, 0)] + _neighbours(step)
+                sads = fast.sad_around(center_dy, center_dx, offsets)
+                for (ndy, ndx), sad in zip(offsets, sads):
+                    dy, dx = center_dy + ndy, center_dx + ndx
+                    valid = (np.abs(dy) <= d) & (np.abs(dx) <= d)
+                    expected = slow.sad_per_block(np.clip(dy, -d, d), np.clip(dx, -d, d))
+                    assert np.array_equal(sad[valid], expected[valid])

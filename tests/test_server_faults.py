@@ -12,6 +12,7 @@ and every fault lands in telemetry or a fault counter.
 from __future__ import annotations
 
 import random
+import struct
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.backends import tracking_backend_for
 from repro.core.executor import StreamFailedError
-from repro.core.ingest import IngestConfig, IngestCore
+from repro.core.ingest import MSG_FRAME, IngestConfig, IngestCore, encode_message
 from repro.core.server import ServeClient, ServerThread
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
@@ -38,13 +39,28 @@ def _sequence(frames: int = 20, seed: int = 7, name: str = "cam"):
     ).generate()
 
 
-def _make_ingest(*, workers: int = 1, **config_kwargs) -> IngestCore:
+class _RecordingIngest(IngestCore):
+    """Keeps each settled stream's result for bit-exact comparison."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.settled = {}
+
+    def close_stream(self, stream_id: str):
+        result = super().close_stream(stream_id)
+        self.settled[stream_id] = result
+        return result
+
+
+def _make_ingest(
+    *, workers: int = 1, ingest_cls=IngestCore, **config_kwargs
+) -> IngestCore:
     spec = PipelineSpec(extrapolation_window=4)
     pipeline = spec.build(tracking_backend_for("mdnet"))
     mux = StreamMultiplexer(pipeline, workers=workers, isolate_failures=True)
     config_kwargs.setdefault("admission", False)
     config_kwargs.setdefault("reorder_window", 4)
-    return IngestCore(mux, config=IngestConfig(**config_kwargs))
+    return ingest_cls(mux, config=IngestConfig(**config_kwargs))
 
 
 def _stream_all(client: ServeClient, handle: int, seq_obj, seqs) -> None:
@@ -108,6 +124,11 @@ class TestServerFaults:
                 handle=1, stream="rude", width=seq_obj.width, height=seq_obj.height
             )
             _stream_all(rude, 1, seq_obj, range(10))
+            # The server answers STATS only after reading every earlier
+            # message, so all ten frames are in before the socket goes.
+            # (Closing with unread acks sends a TCP reset, which would
+            # discard frames still queued on the server side.)
+            rude.stats()
             rude.close()  # vanish mid-stream: no BYE
 
             with ServeClient("127.0.0.1", server.port) as polite:
@@ -202,6 +223,62 @@ class TestServerFaults:
         assert "doomed" in ingest.multiplexer.stream_failures
         report = server.shutdown()
         assert report is not None  # graceful drain despite the dead worker
+
+    def test_malformed_truth_fails_only_its_stream(self):
+        # One FRAME with an unparseable truth blob fails its own stream with
+        # an ERROR naming the handle; the sibling stream on the same
+        # connection keeps every ack and its results stay bit-exact.
+        seq_obj = _sequence(20)
+        ingest = _make_ingest(ingest_cls=_RecordingIngest)
+        blob = b'[{"x": 1, "y": 2}]'
+        frame = seq_obj.frame(5)
+        bad_frame = encode_message(
+            MSG_FRAME,
+            struct.pack(">IIHHI", 2, 5, frame.shape[0], frame.shape[1], len(blob))
+            + blob
+            + frame.tobytes(),
+        )
+        with ServerThread(ingest) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                for handle, name in ((1, "sibling"), (2, "bad")):
+                    client.hello(
+                        handle=handle, stream=name,
+                        width=seq_obj.width, height=seq_obj.height,
+                    )
+                for seq in range(20):
+                    truth = seq_obj.truth_detections(seq)
+                    client.send_frame(1, seq, seq_obj.frame(seq), truth=truth)
+                    if seq < 5:
+                        client.send_frame(2, seq, seq_obj.frame(seq), truth=truth)
+                    elif seq == 5:
+                        client.send_raw(bad_frame)
+                    client.poll(timeout=0.01)
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    acks = [r for r in client.results if r["handle"] == 1]
+                    if len(acks) == 20:
+                        break
+                    client.poll(timeout=0.05)
+                assert client.errors[0]["handle"] == 2
+                assert client.errors[0]["stream"] == "bad"
+                assert "malformed FRAME truth" in client.errors[0]["reason"]
+                summary = client.bye(1)
+                with pytest.raises(StreamFailedError, match="no stream"):
+                    client.bye(2)
+        assert summary["status"] == "ok"
+        assert summary["frames"] == 20
+        assert [(a["frame_index"], a["seq"]) for a in acks] == [(i, i) for i in range(20)]
+        serial = (
+            PipelineSpec(extrapolation_window=4)
+            .build(tracking_backend_for("mdnet"))
+            .open_session(seq_obj.width, seq_obj.height, name="sibling")
+        )
+        for seq in range(20):
+            serial.submit(seq_obj.frame(seq), truth=seq_obj.truth_detections(seq))
+        serial = serial.finish()
+        assert [a["kind"] for a in acks] == [f.kind.value for f in serial.frames]
+        assert_results_identical(serial, ingest.settled["sibling"])
+        server.shutdown()
 
     def test_bye_on_failed_stream_raises_promptly(self):
         # A tracking stream poisoned mid-flight (no truth on the first
