@@ -8,25 +8,25 @@ Run from the repository root:
 
 Each run measures fps / per-frame latency / analytical op counts for the
 vectorized three-step search (against the scalar oracle it must beat), the
-exhaustive search under every candidate-scan policy
-(full/spiral/pruned/histogram), and the fixed-point float-frame path, then
+exhaustive search (against the scalar oracle on a crop), and the fixed-point
+float-frame path, then
 **appends** a dated entry to the trajectory file — the perf history
 accumulates across commits instead of being overwritten.  A legacy
 single-payload ``BENCH_motion.json`` is migrated into the first trajectory
 entry automatically.
 
 ``--kernel-backend numba`` measures the compiled SAD backend; the entry then
-also times the numpy-backend pruned ES at each resolution and records the
-``es_pruned_speedup_vs_numpy`` ratio the accel floors guard.  The entry
+also times the numpy-backend ES at each resolution and records the
+``es_speedup_vs_numpy`` ratio the accel floors guard.  The entry
 always records both the requested and the *active* backend (numba degrades
 to numpy when Numba is absent), so the trajectory never lies about what ran.
 
 ``--guard`` enforces the perf floors stored in the file (the CI
 ``perf-guard`` and ``kernels-accel`` jobs run this): the process exits
-non-zero when the fresh measurement's vectorized/scalar TSS speedup or
-pruned-vs-full ES speedup drops below its floor — or, under
-``--kernel-backend numba``, when the backend failed to activate or its
-pruned-ES speedup over numpy missed the accel floor.
+non-zero when the fresh measurement's TSS or ES speedup over the scalar
+oracle drops below its floor — or, under ``--kernel-backend numba``, when
+the backend failed to activate or its ES speedup over numpy missed the
+accel floor.
 
 Commit the refreshed JSON whenever the motion hot path changes.
 """
@@ -55,11 +55,9 @@ DEFAULT_FLOORS = {
     # Three-step search on per-step pixel-major neighbourhoods measured
     # 33-45x the scalar oracle at 720p (the earlier engine 9-15x).
     "min_tss_speedup_720p": 20.0,
-    "min_es_pruned_speedup_vs_full_720p": 2.5,
-    # The histogram policy's global candidate ranking prunes earlier than
-    # the fixed spiral on panning scenes (the bench's synthetic sequence
-    # pans): measured ~5.5x full ES at 720p, floored with headroom.
-    "min_es_histogram_speedup_vs_full_720p": 3.5,
+    # Exhaustive search vs the scalar oracle's ES on the 360x640 crop of
+    # the 720p sequence (perf.ES_ORACLE_CROP): measured 23-39x.
+    "min_es_speedup_vs_scalar_720p": 15.0,
     # Ceiling on the modeled per-stream energy of the multi-stream bench
     # (run_stream_bench.py --guard).  The modeled energy is deterministic
     # for a given spec/workload, so a breach means a real regression in the
@@ -70,9 +68,9 @@ DEFAULT_FLOORS = {
     # Accel floors: checked only on entries measured with
     # --kernel-backend numba (and each only at resolutions the preset
     # actually measured).  The compiled backend must genuinely activate and
-    # beat the numpy pruned ES by this factor, else the guard fails.
-    "min_numba_es_pruned_speedup_vs_numpy_720p": 2.0,
-    "min_numba_es_pruned_speedup_vs_numpy_1080p": 2.0,
+    # beat the numpy ES by this factor, else the guard fails.
+    "min_numba_es_speedup_vs_numpy_720p": 2.0,
+    "min_numba_es_speedup_vs_numpy_1080p": 2.0,
 }
 
 #: Presets: name -> (resolutions, frames, include_scalar).
@@ -100,7 +98,7 @@ def load_trajectory(path: Path) -> dict:
 def check_floors(entry: dict, floors: dict) -> list:
     """Return human-readable violations of the stored perf floors.
 
-    The base TSS/pruned floors apply to every guarded run.  The accel
+    The base TSS/ES floors apply to every guarded run.  The accel
     (``min_numba_*``) floors apply only to entries measured with
     ``--kernel-backend numba``, and each only at resolutions the preset
     measured; on such entries the backend must also have actually activated
@@ -113,12 +111,7 @@ def check_floors(entry: dict, floors: dict) -> list:
     violations = []
     checks = [
         ("min_tss_speedup_720p", "720p", "speedup"),
-        ("min_es_pruned_speedup_vs_full_720p", "720p", "es_pruned_speedup_vs_full"),
-        (
-            "min_es_histogram_speedup_vs_full_720p",
-            "720p",
-            "es_histogram_speedup_vs_full",
-        ),
+        ("min_es_speedup_vs_scalar_720p", "720p", "es_speedup_vs_scalar"),
     ]
     for floor_key, resolution, metric in checks:
         floor = floors.get(floor_key)
@@ -144,60 +137,52 @@ def check_floors(entry: dict, floors: dict) -> list:
                 "[accel] extra installed?) — the guarded run measured numpy"
             )
         for resolution in ("720p", "1080p"):
-            floor = floors.get(f"min_numba_es_pruned_speedup_vs_numpy_{resolution}")
+            floor = floors.get(f"min_numba_es_speedup_vs_numpy_{resolution}")
             result = measured.get(resolution)
             if floor is None or result is None:
                 continue
-            value = result.get("es_pruned_speedup_vs_numpy")
+            value = result.get("es_speedup_vs_numpy")
             if value is None:
                 violations.append(
-                    f"min_numba_es_pruned_speedup_vs_numpy_{resolution}: "
-                    "metric 'es_pruned_speedup_vs_numpy' was not measured"
+                    f"min_numba_es_speedup_vs_numpy_{resolution}: "
+                    "metric 'es_speedup_vs_numpy' was not measured"
                 )
             elif value < floor:
                 violations.append(
-                    f"min_numba_es_pruned_speedup_vs_numpy_{resolution}: "
+                    f"min_numba_es_speedup_vs_numpy_{resolution}: "
                     f"measured {value:.2f}x < floor {floor:.2f}x"
                 )
     return violations
 
 
-def add_numpy_pruned_baseline(entry: dict, num_frames: int, seed: int = 0) -> None:
-    """Time the numpy-backend pruned ES and attach the backend speedup.
+def add_numpy_es_baseline(entry: dict, num_frames: int, seed: int = 0) -> None:
+    """Time the numpy-backend ES and attach the backend speedup.
 
     Mutates each resolution result in ``entry`` with
-    ``es_pruned_numpy_s_per_frame`` and ``es_pruned_speedup_vs_numpy`` so a
+    ``es_numpy_s_per_frame`` and ``es_speedup_vs_numpy`` so a
     ``--kernel-backend numba`` entry carries its own baseline — the ratio
     the accel floors guard, self-contained in one trajectory entry.
     """
-    from repro.motion.block_matching import (
-        BlockMatcher,
-        BlockMatchingConfig,
-        SearchPolicy,
-        SearchStrategy,
-    )
+    from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
 
     matcher = BlockMatcher(
         BlockMatchingConfig(
             block_size=entry["block_size"],
             search_range=entry["search_range"],
             strategy=SearchStrategy.EXHAUSTIVE,
-            search_policy=SearchPolicy.PRUNED,
             kernel_backend="numpy",
         )
     )
     for result in entry.get("results", []):
-        if "es_pruned_s_per_frame" not in result:
+        if "es_s_per_frame" not in result:
             continue
         frames = synthetic_luma_sequence(
             result["height"], result["width"], num_frames, seed=seed
         )
         matcher.estimate(frames[1], frames[0])  # warm-up
         numpy_s = _time_per_frame(matcher.estimate, frames)
-        result["es_pruned_numpy_s_per_frame"] = numpy_s
-        result["es_pruned_speedup_vs_numpy"] = (
-            numpy_s / result["es_pruned_s_per_frame"]
-        )
+        result["es_numpy_s_per_frame"] = numpy_s
+        result["es_speedup_vs_numpy"] = numpy_s / result["es_s_per_frame"]
 
 
 def main() -> int:
@@ -226,14 +211,14 @@ def main() -> int:
     parser.add_argument(
         "--skip-exhaustive",
         action="store_true",
-        help="skip the exhaustive-search policy timings",
+        help="skip the exhaustive-search timings",
     )
     parser.add_argument(
         "--kernel-backend",
         choices=list(KERNEL_BACKENDS),
         default="numpy",
         help="SAD kernel backend to measure; 'numba' also times the numpy "
-        "pruned-ES baseline and records the backend speedup (default: numpy)",
+        "ES baseline and records the backend speedup (default: numpy)",
     )
     parser.add_argument(
         "--guard",
@@ -257,7 +242,7 @@ def main() -> int:
         kernel_backend=args.kernel_backend,
     )
     if args.kernel_backend != "numpy" and not args.skip_exhaustive:
-        add_numpy_pruned_baseline(entry, num_frames)
+        add_numpy_es_baseline(entry, num_frames)
     entry["date"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     entry["preset"] = args.preset
     entry["python"] = platform.python_version()
@@ -272,17 +257,14 @@ def main() -> int:
         line = f"  {result['resolution']:>6}: TSS {result['vectorized_fps']:.1f} fps"
         if "speedup" in result:
             line += f" ({result['speedup']:.1f}x scalar)"
-        if "es_pruned_fps" in result:
-            line += (
-                f"; ES full {result['es_full_fps']:.1f} -> pruned "
-                f"{result['es_pruned_fps']:.1f} fps "
-                f"({result['es_pruned_speedup_vs_full']:.1f}x, "
-                f"{result['es_pruned_evaluated_fraction']:.1%} candidates)"
-            )
-        if "es_pruned_speedup_vs_numpy" in result:
+        if "es_fps" in result:
+            line += f"; ES {result['es_fps']:.1f} fps"
+        if "es_speedup_vs_scalar" in result:
+            line += f" ({result['es_speedup_vs_scalar']:.1f}x scalar on the crop)"
+        if "es_speedup_vs_numpy" in result:
             line += (
                 f"; {entry['kernel_backend_active']} backend "
-                f"{result['es_pruned_speedup_vs_numpy']:.1f}x numpy pruned ES"
+                f"{result['es_speedup_vs_numpy']:.1f}x numpy ES"
             )
         if "fixed_point_fps" in result:
             line += f"; Q8.4 TSS {result['fixed_point_fps']:.1f} fps"

@@ -296,12 +296,6 @@ class EuphratesSession:
         source: "VideoSequence | StreamOracle | None" = None,
         oracle: Optional[StreamOracle] = None,
         on_finish: Optional[Callable[["EuphratesSession"], None]] = None,
-        disagreement: Optional[
-            Callable[[Sequence[Detection], Sequence[Detection]], float]
-        ] = None,
-        prune: Optional[
-            Callable[[Dict[int, RoiMotionState], Sequence[Detection]], None]
-        ] = None,
     ) -> None:
         self.name = name
         self._isp = isp
@@ -311,11 +305,6 @@ class EuphratesSession:
         self._source = source
         self._oracle = oracle
         self._on_finish = on_finish
-        # The feedback metric and state-pruning policy are injectable so a
-        # pipeline subclass that customizes them keeps working through the
-        # session-backed run() path.
-        self._measure_disagreement = disagreement or measure_disagreement
-        self._prune_states = prune or prune_states
         self._ops_at_open = extrapolator.total_operations
         # Per-stream algorithm state, previously locals of the run() loop.
         self._states: Dict[int, RoiMotionState] = {}
@@ -492,9 +481,9 @@ class EuphratesSession:
             detections = self._backend.infer(frame_index, processed.luma, self._source)
             inference_s = time.perf_counter() - stage_start
             if predicted is not None:
-                disagreement = self._measure_disagreement(detections, predicted)
+                disagreement = measure_disagreement(detections, predicted)
                 self._controller.observe_disagreement(disagreement)
-            self._prune_states(self._states, detections)
+            prune_states(self._states, detections)
             kind = FrameKind.INFERENCE
             self._frames_since_inference = 0
             self.stats.inference_frames += 1

@@ -2,7 +2,7 @@
 
 Before :class:`PipelineSpec` existed, the tunable knobs of the pipeline
 (``extrapolation_window``, ``block_size``, ``search_range``,
-``exhaustive_search``, ``search_policy``, ``sub_roi_grid``,
+``exhaustive_search``, ``sub_roi_grid``,
 ``expose_motion_vectors``) were threaded as loose keyword arguments through
 three independent layers — ``build_pipeline``, the harness
 :class:`~repro.harness.runner.SweepRunner`, and the CLI — each with its own
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, List, Tuple, Union
 
 from ..isp.framebuffer import parse_frame_format, spell_frame_format
-from ..motion.block_matching import BlockMatchingConfig, SearchPolicy, SearchStrategy
+from ..motion.block_matching import BlockMatchingConfig, SearchStrategy
 from ..motion.kernels import KERNEL_BACKENDS
 from .extrapolation import ExtrapolationConfig
 from .window import (
@@ -80,9 +80,6 @@ class PipelineSpec:
     search_range: int = 7
     #: Exhaustive search instead of the three-step search.
     exhaustive_search: bool = False
-    #: Exhaustive-search candidate-scan policy
-    #: (``full``/``spiral``/``pruned``/``histogram``).
-    search_policy: str = "pruned"
     #: SAD kernel backend: ``numpy`` (the default and the bit-exact oracle)
     #: or ``numba`` (compiled; degrades to numpy when Numba is absent).
     #: All backends are bit-identical, but the knob is part of
@@ -125,7 +122,6 @@ class PipelineSpec:
             raise ValueError("block_size must be >= 1")
         if self.search_range < 0:
             raise ValueError("search_range must be >= 0")
-        object.__setattr__(self, "search_policy", SearchPolicy(self.search_policy).value)
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"unknown kernel backend '{self.kernel_backend}' "
@@ -246,14 +242,6 @@ class PipelineSpec:
             help="use exhaustive search instead of three-step search",
         )
         parser.add_argument(
-            "--search-policy",
-            dest="spec_search_policy",
-            choices=[policy.value for policy in SearchPolicy],
-            default=defaults.search_policy,
-            help="exhaustive-search candidate-scan policy; all policies are "
-            f"result-identical (default: {defaults.search_policy})",
-        )
-        parser.add_argument(
             "--kernel-backend",
             dest="spec_kernel_backend",
             choices=list(KERNEL_BACKENDS),
@@ -347,7 +335,6 @@ class PipelineSpec:
             "block_size": args.spec_block_size,
             "search_range": args.spec_search_range,
             "exhaustive_search": args.spec_exhaustive_search,
-            "search_policy": args.spec_search_policy,
             "kernel_backend": getattr(
                 args, "spec_kernel_backend", defaults.kernel_backend
             ),
@@ -389,8 +376,6 @@ class PipelineSpec:
             tokens += ["--search-range", str(self.search_range)]
         if self.exhaustive_search:
             tokens += ["--exhaustive-search"]
-        if self.search_policy != defaults.search_policy:
-            tokens += ["--search-policy", self.search_policy]
         if self.kernel_backend != defaults.kernel_backend:
             tokens += ["--kernel-backend", self.kernel_backend]
         if self.frame_format != defaults.frame_format:
@@ -424,7 +409,6 @@ class PipelineSpec:
             self.block_size,
             self.search_range,
             self.exhaustive_search,
-            self.search_policy,
             self.kernel_backend,
             self.frame_format,
             self.sub_roi_grid,
@@ -434,7 +418,7 @@ class PipelineSpec:
         )
 
     def describe(self) -> str:
-        """Short human-readable label (``EW-2/b16/r7/tss/pruned``)."""
+        """Short human-readable label (``EW-2/b16/r7/tss``)."""
         window = (
             "EW-A"
             if self.extrapolation_window == "adaptive"
@@ -442,8 +426,6 @@ class PipelineSpec:
         )
         search = "es" if self.exhaustive_search else "tss"
         label = f"{window}/b{self.block_size}/r{self.search_range}/{search}"
-        if self.exhaustive_search:
-            label += f"/{self.search_policy}"
         if self.kernel_backend != "numpy":
             label += f"/k:{self.kernel_backend}"
         if self.frame_format != PipelineSpec().frame_format:
@@ -471,7 +453,6 @@ class PipelineSpec:
             block_size=self.block_size,
             search_range=self.search_range,
             strategy=strategy,
-            search_policy=SearchPolicy(self.search_policy),
             kernel_backend=self.kernel_backend,
         )
 

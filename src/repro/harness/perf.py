@@ -4,9 +4,9 @@ Measures frames/sec of the vectorized block matcher on synthetic 720p/1080p
 sequences and compares it against the scalar reference oracle
 (:mod:`repro.motion.reference`), so every PR can check the perf trajectory.
 Besides the three-step search (the production default) the benchmark times
-the exhaustive search under each candidate-scan policy
-(full/spiral/pruned/histogram — all result-identical) and the fixed-point
-float-frame path, the two hot-path gaps this repo's trajectory tracks.
+the exhaustive search (also against the scalar oracle, on a crop) and the
+fixed-point float-frame path, the two hot-path gaps this repo's trajectory
+tracks.
 The SAD kernel backend (numpy or the compiled numba backend) is a
 parameter, so the same harness measures both sides of the backend speedup.
 
@@ -22,12 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..motion.block_matching import (
-    BlockMatcher,
-    BlockMatchingConfig,
-    SearchPolicy,
-    SearchStrategy,
-)
+from ..motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
 from ..motion.kernels import resolve_kernel_backend
 from ..motion.reference import scalar_estimate
 
@@ -36,6 +31,12 @@ RESOLUTIONS: Dict[str, Tuple[int, int]] = {
     "720p": (720, 1280),
     "1080p": (1080, 1920),
 }
+
+#: Top-left crop (height, width) on which exhaustive search is timed against
+#: the scalar oracle: the oracle's ES scores each of a 720p frame's 3,600
+#: blocks at 225 offsets one call at a time (~6 s per frame), while the crop
+#: keeps 900 blocks and the ratio, since both sides scale with block count.
+ES_ORACLE_CROP: Tuple[int, int] = (360, 640)
 
 
 def synthetic_luma_sequence(
@@ -84,11 +85,10 @@ def benchmark_motion_estimation(
     * vectorized TSS frames/sec and latency (the legacy ``vectorized_*``
       keys), the analytical op counts, and — with ``include_scalar`` — the
       scalar-oracle timing and the vectorized-vs-scalar ``speedup``;
-    * with ``include_exhaustive``, exhaustive-search timing per candidate
-      scan policy (``es_full_*``/``es_spiral_*``/``es_pruned_*``/
-      ``es_histogram_*``), the
-      pruned policy's evaluated-candidate fraction, and the headline
-      ``es_pruned_speedup_vs_full`` and ``es_pruned_vs_tss`` ratios;
+    * with ``include_exhaustive``, exhaustive-search timing (``es_*``) and
+      its ``es_vs_tss`` ratio; with ``include_scalar`` as well, the ES and
+      scalar-oracle ES timings on the :data:`ES_ORACLE_CROP` crop and their
+      ``es_speedup_vs_scalar`` ratio;
     * with ``include_fixed_point``, TSS timing on Q8.4 fixed-point float
       frames (``fixed_point_*``) and its ratio to the uint8 fast path —
       tracking that float-valued frames no longer fall off onto the float64
@@ -140,38 +140,39 @@ def benchmark_motion_estimation(
             entry["speedup"] = scalar_s / vector_s
 
         if include_exhaustive:
-            es_seconds: Dict[str, float] = {}
-            for policy in SearchPolicy:
-                es_matcher = BlockMatcher(
-                    BlockMatchingConfig(
+            es_matcher = BlockMatcher(
+                BlockMatchingConfig(
+                    block_size=block_size,
+                    search_range=search_range,
+                    strategy=SearchStrategy.EXHAUSTIVE,
+                    kernel_backend=kernel_backend,
+                )
+            )
+            es_matcher.estimate(frames[1], frames[0])  # warm-up
+            es_s = _time_per_frame(es_matcher.estimate, frames)
+            entry["es_s_per_frame"] = es_s
+            entry["es_fps"] = 1.0 / es_s
+            # > 1 means ES is still slower than TSS; the trajectory tracks
+            # this gap.
+            entry["es_vs_tss"] = es_s / vector_s
+            if include_scalar:
+                crop = frames[:, : ES_ORACLE_CROP[0], : ES_ORACLE_CROP[1]]
+                es_matcher.estimate(crop[1], crop[0])  # warm-up at the crop size
+                es_crop_s = _time_per_frame(es_matcher.estimate, crop)
+                scalar_es_s = _time_per_frame(
+                    lambda cur, prev: scalar_estimate(
+                        cur,
+                        prev,
                         block_size=block_size,
                         search_range=search_range,
-                        strategy=SearchStrategy.EXHAUSTIVE,
-                        search_policy=policy,
-                        kernel_backend=kernel_backend,
-                    )
+                        three_step=False,
+                    ),
+                    crop,
                 )
-                es_matcher.estimate(frames[1], frames[0])  # warm-up
-                es_s = _time_per_frame(es_matcher.estimate, frames)
-                es_seconds[policy.value] = es_s
-                entry[f"es_{policy.value}_s_per_frame"] = es_s
-                entry[f"es_{policy.value}_fps"] = 1.0 / es_s
-                if policy is SearchPolicy.PRUNED:
-                    entry["es_pruned_evaluated_fraction"] = (
-                        es_matcher.last_search_stats.evaluated_fraction
-                    )
-            entry["es_pruned_speedup_vs_full"] = (
-                es_seconds["full"] / es_seconds["pruned"]
-            )
-            entry["es_spiral_speedup_vs_full"] = (
-                es_seconds["full"] / es_seconds["spiral"]
-            )
-            entry["es_histogram_speedup_vs_full"] = (
-                es_seconds["full"] / es_seconds["histogram"]
-            )
-            # > 1 means pruned ES is still slower than TSS; the trajectory
-            # tracks this gap closing.
-            entry["es_pruned_vs_tss"] = es_seconds["pruned"] / vector_s
+                entry["es_crop"] = list(crop.shape[1:])
+                entry["es_crop_s_per_frame"] = es_crop_s
+                entry["es_scalar_crop_s_per_frame"] = scalar_es_s
+                entry["es_speedup_vs_scalar"] = scalar_es_s / es_crop_s
 
         if include_fixed_point:
             # Q8.4 lattice floats: integer-valued after scaling by 16, so

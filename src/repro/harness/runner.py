@@ -126,7 +126,6 @@ class SweepRunner:
         block_size: Optional[int] = None,
         search_range: Optional[int] = None,
         exhaustive_search: Optional[bool] = None,
-        search_policy: Optional[str] = None,
         seed: int = 1,
     ) -> DatasetRunResult:
         """Run (or reuse) one pipeline configuration over ``dataset``.
@@ -138,9 +137,7 @@ class SweepRunner:
         a sweep can thread one base spec through and vary a single
         dimension per call.  The spec's
         :meth:`~repro.core.spec.PipelineSpec.cache_key` is the memoization
-        key, so e.g. ``search_policy`` participates in it and
-        policy-comparison experiments measure genuinely separate runs even
-        though every policy returns bit-identical motion fields.
+        key.
         """
         base = spec if spec is not None else PipelineSpec()
         overrides: Dict[str, object] = {}
@@ -154,8 +151,6 @@ class SweepRunner:
             overrides["search_range"] = search_range
         if exhaustive_search is not None:
             overrides["exhaustive_search"] = exhaustive_search
-        if search_policy is not None:
-            overrides["search_policy"] = search_policy
         spec = replace(base, **overrides) if overrides else base
         point: SweepPoint = (
             self.dataset_key(dataset),
@@ -288,7 +283,6 @@ class ExperimentContext:
         runner: Optional[SweepRunner] = None,
         datasets: Optional[DatasetSpec] = None,
         seed: int = 1,
-        search_policy: Optional[str] = None,
         base_spec: Optional[PipelineSpec] = None,
     ) -> None:
         self.runner = runner or SweepRunner()
@@ -297,19 +291,10 @@ class ExperimentContext:
         #: The base pipeline configuration experiments start their sweeps
         #: from (the CLI builds it from the spec flags); each experiment
         #: overrides only the dimensions it sweeps.
-        if base_spec is None:
-            base_spec = PipelineSpec()
-        if search_policy is not None:
-            base_spec = replace(base_spec, search_policy=search_policy)
-        self.base_spec = base_spec
+        self.base_spec = base_spec if base_spec is not None else PipelineSpec()
         self._dataset_cache: Dict[str, Dataset] = {}
         self._artifacts: Dict[str, ExperimentArtifact] = {}
         self._vision_soc = None
-
-    @property
-    def search_policy(self) -> str:
-        """ES candidate-scan policy of :attr:`base_spec` (Fig. 11b sweeps)."""
-        return self.base_spec.search_policy
 
     @property
     def vision_soc(self):

@@ -178,11 +178,6 @@ def _same_channel_neighbour_mean(bayer: np.ndarray) -> np.ndarray:
     return (up + down + left + right) / 4.0
 
 
-def _bilinear_demosaic(bayer: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation demosaic (numpy kernel; kept for compatibility)."""
-    return kernels.bilinear_demosaic(bayer, channel_map)
-
-
 def _box_sum_3x3(image: np.ndarray) -> np.ndarray:
     """Sum over each pixel's 3x3 neighbourhood (reflect padding).
 

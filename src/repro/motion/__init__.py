@@ -11,7 +11,6 @@ exposes to the vision backend through the frame-buffer metadata.
 from .block_matching import (
     BlockMatcher,
     BlockMatchingConfig,
-    SearchPolicy,
     SearchStats,
     SearchStrategy,
     exhaustive_search_ops_per_macroblock,
@@ -31,7 +30,6 @@ __all__ = [
     "BlockMatcher",
     "BlockMatchingConfig",
     "SadKernel",
-    "SearchPolicy",
     "SearchStats",
     "SearchStrategy",
     "KERNEL_BACKENDS",

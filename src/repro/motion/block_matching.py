@@ -17,23 +17,10 @@ of NumPy dispatches regardless of frame size.  The original per-macroblock
 Python loops live on in :mod:`repro.motion.reference` as the bit-identical
 correctness oracle.
 
-Exhaustive search additionally supports three **search policies**, all of
-which return bit-identical motion fields (same argmin, same SAD — the
-pruning rules only ever skip candidates that provably cannot *strictly*
-improve a block's best SAD, which is exactly the full scan's update rule):
-
-* ``FULL`` — evaluate every block at every offset; the original scan.
-* ``SPIRAL`` — visit offsets in the same nearest-to-zero spiral order, but
-  skip blocks whose best SAD already hit 0 (SAD is non-negative, so no
-  candidate can strictly beat a perfect match) and stop outright once every
-  block is perfect.
-* ``PRUNED`` — spiral plus a partial-sum lower-bound pass: a block is
-  evaluated at an offset only when the triangle-inequality bound
-  ``|sum(block) - sum(reference)|`` is still below its best SAD.  The bound
-  costs O(1) per block per offset from summed-area tables, versus ``L^2``
-  for the SAD it avoids.  Requires the kernel's exact-integer mode (where
-  the bound is computed exactly); on genuinely fractional float frames it
-  degrades to ``SPIRAL`` behaviour.
+Exhaustive search is a fixed-work scan: every block is scored at every
+offset of the window, visited nearest-to-zero first, and a candidate
+replaces a block's best match only on a *strictly* smaller SAD — the
+scalar oracle's rule, so ties break towards the smallest motion.
 
 Both strategies return a :class:`~repro.motion.motion_field.MotionField`
 holding forward motion vectors (previous frame -> current frame) and the SAD
@@ -49,7 +36,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import kernels_numba
 from .kernels import KERNEL_BACKENDS, KernelScratch, SadKernel
 from .motion_field import MacroblockGrid, MotionField
 from .reference import tss_initial_step
@@ -62,40 +48,17 @@ class SearchStrategy(Enum):
     THREE_STEP = "three_step"
 
 
-class SearchPolicy(Enum):
-    """Candidate-scan policy of the exhaustive search (result-identical)."""
-
-    FULL = "full"
-    SPIRAL = "spiral"
-    PRUNED = "pruned"
-    #: Pruned scan that visits candidates ranked by a *global SAD histogram*
-    #: (ascending whole-frame partial-sum score) instead of the fixed
-    #: spiral.  SAD ties break on spiral rank, so the motion field stays
-    #: bit-identical to the full scan; visiting globally promising offsets
-    #: first tightens every block's best SAD early, which makes the pruning
-    #: rules skip more candidates on panning scenes whose true motion sits
-    #: far from the window centre.  Degrades to ``SPIRAL`` behaviour on
-    #: genuinely fractional float frames (no exact integer tables to rank
-    #: with), exactly like ``PRUNED`` does.
-    HISTOGRAM = "histogram"
-
-
 @dataclass(frozen=True)
 class SearchStats:
     """Work accounting for one exhaustive-search invocation.
 
-    ``candidates_total`` is what the full scan would evaluate
-    (``num_blocks * (2d+1)^2``); ``candidates_evaluated`` is what the active
-    policy actually computed SADs for.  ``lower_bound_checks`` counts the
-    O(1) partial-sum bound evaluations the pruned policy spent to avoid the
-    skipped SADs, and ``offsets_skipped`` counts candidate offsets for which
-    no block needed evaluation at all.
+    ``candidates_total`` is the window's candidate count
+    (``num_blocks * (2d+1)^2``); ``candidates_evaluated`` is how many of
+    them the scan computed SADs for (all of them).
     """
 
     candidates_total: int
     candidates_evaluated: int
-    lower_bound_checks: int = 0
-    offsets_skipped: int = 0
 
     @property
     def evaluated_fraction(self) -> float:
@@ -130,13 +93,6 @@ class BlockMatchingConfig:
         collapses to the co-located block).
     strategy:
         Exhaustive or three-step search.
-    search_policy:
-        Candidate-scan policy of the exhaustive search (accepts the enum or
-        its string value).  All policies produce bit-identical motion
-        fields; ``PRUNED`` (the default) skips provably non-improving
-        candidates via the spiral early-exit and the partial-sum lower
-        bound; ``HISTOGRAM`` additionally reorders candidates by a global
-        SAD histogram.  Ignored by the three-step search.
     kernel_backend:
         SAD kernel backend (``numpy``/``numba``).  ``numpy`` is the default
         and the oracle; ``numba`` compiles the exact-integer hot loops and
@@ -149,7 +105,6 @@ class BlockMatchingConfig:
     block_size: int = 16
     search_range: int = 7
     strategy: SearchStrategy = SearchStrategy.THREE_STEP
-    search_policy: SearchPolicy = SearchPolicy.PRUNED
     kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -157,8 +112,6 @@ class BlockMatchingConfig:
             raise ValueError("block_size must be positive")
         if self.search_range < 0:
             raise ValueError("search_range must be non-negative")
-        if not isinstance(self.search_policy, SearchPolicy):
-            object.__setattr__(self, "search_policy", SearchPolicy(self.search_policy))
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"unknown kernel backend '{self.kernel_backend}' "
@@ -184,9 +137,7 @@ class BlockMatcher:
     def __init__(self, config: BlockMatchingConfig | None = None) -> None:
         self.config = config or BlockMatchingConfig()
         #: Arithmetic-operation count of the most recent :meth:`estimate` call.
-        #: Three-step search uses the analytical per-macroblock formula;
-        #: exhaustive search counts the candidates its policy actually
-        #: evaluated (identical to the analytical formula for ``FULL``).
+        #: Both strategies use their analytical per-macroblock formula.
         self.last_operation_count = 0
         #: Candidate accounting of the most recent exhaustive search
         #: (``None`` after a three-step run).
@@ -240,17 +191,10 @@ class BlockMatcher:
         self.last_kernel_backend = kernel.active_backend
         if self.config.strategy is SearchStrategy.EXHAUSTIVE:
             vectors, sad = self._exhaustive(kernel)
-            stats = self.last_search_stats
-            block_ops = self.config.block_size * self.config.block_size
-            # Evaluated SADs cost L^2 each; each lower-bound check costs a
-            # gather + subtract + abs + compare.
-            self.last_operation_count = (
-                stats.candidates_evaluated * block_ops + stats.lower_bound_checks * 4
-            )
         else:
             vectors, sad = self._three_step(kernel)
             self.last_search_stats = None
-            self.last_operation_count = grid.num_blocks * self.config.ops_per_macroblock
+        self.last_operation_count = grid.num_blocks * self.config.ops_per_macroblock
         return MotionField(vectors, sad, grid, search_range=self.config.search_range)
 
     # ------------------------------------------------------------------
@@ -274,155 +218,34 @@ class BlockMatcher:
     # Exhaustive search
     # ------------------------------------------------------------------
     def _exhaustive(self, kernel: SadKernel) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate scan over the window, with policy-dependent pruning.
+        """Score every block at every window offset; keep the strict minimum.
 
-        All policies return bit-identical fields.  The full/spiral/pruned
-        policies visit candidates in the same nearest-to-zero order and
-        update only on *strict* SAD improvement, so their pruning rules
-        (skip a block whose best SAD is 0; skip a block whose partial-sum
-        lower bound is not below its best SAD) can only skip candidates the
-        full scan would have rejected anyway.  The histogram policy visits
-        candidates out of spiral order (globally promising offsets first)
-        and therefore breaks SAD ties on the *spiral rank* instead — the
-        winner is the (SAD, spiral-rank) lexicographic minimum, which is
-        exactly what the spiral scan's strict-improvement rule computes.
-
-        When the compiled kernel backend is active the whole scan runs as
-        one fused per-macroblock call (:meth:`SadKernel.fused_exhaustive`)
-        with no per-candidate Python dispatch; otherwise the vectorized
-        per-offset NumPy loop below runs.
+        Offsets are visited nearest-to-zero first and a block's best match
+        moves only on a strictly smaller SAD, so ties keep the smallest
+        motion — exactly the scalar oracle's scan.  When the compiled kernel
+        backend is active the whole scan runs as one fused per-macroblock
+        call (:meth:`SadKernel.fused_exhaustive`); otherwise each offset is
+        one dense :meth:`SadKernel.sad_uniform` call over the whole grid.
         """
-        policy = self.config.search_policy
-        d = self.config.search_range
-        rows, cols = kernel.rows, kernel.cols
-        num_blocks = rows * cols
-        offsets = self._window_offsets(d)
-
-        # The histogram policy ranks candidates by their global partial-sum
-        # SAD score; it needs the exact-integer tables and degrades to the
-        # spiral order (and spiral behaviour) on fractional float frames.
-        ranked = policy is SearchPolicy.HISTOGRAM and kernel.supports_lower_bound
-        ranks = np.arange(len(offsets), dtype=np.int64)
-        if ranked:
-            ranks = kernel.histogram_order(offsets)
-            offsets = [offsets[int(index)] for index in ranks]
-
-        if kernel.supports_fused:
-            policy_code = {
-                SearchPolicy.FULL: kernels_numba.POLICY_FULL,
-                SearchPolicy.SPIRAL: kernels_numba.POLICY_SPIRAL,
-                SearchPolicy.PRUNED: kernels_numba.POLICY_LOWER_BOUND,
-                SearchPolicy.HISTOGRAM: kernels_numba.POLICY_LOWER_BOUND,
-            }[policy]
-            best_dy, best_dx, best_sad, evaluated, lower_bound_checks, skipped = (
-                kernel.fused_exhaustive(offsets, ranks, policy_code)
-            )
-            self.last_search_stats = SearchStats(
-                candidates_total=num_blocks * len(offsets),
-                candidates_evaluated=evaluated,
-                lower_bound_checks=lower_bound_checks,
-                offsets_skipped=skipped,
-            )
-            vectors = np.stack([-best_dx, -best_dy], axis=-1).astype(np.float64)
-            return vectors, best_sad
-
-        # Dense whole-grid evaluation: exact-integer mode may use the cheap
-        # uniform-offset primitive (exact either way); float mode must stay
-        # on the gather primitive so dense and subset evaluations carry the
-        # same per-block rounding as the scalar reference — mixing in the
-        # whole-frame shifted difference would break bit-identity between
-        # policies on fractional frames.
-        dense_sad = kernel.sad_uniform if kernel.exact_integer else kernel.sad_per_block
-
-        # The first visited offset is always (0, 0) (spiral rank 0, pinned
-        # first by histogram_order too): evaluating it up front seeds every
-        # block's best SAD without an inf sentinel.
-        best_sad = dense_sad(0, 0)
-        best_dy = np.zeros((rows, cols), dtype=np.int64)
-        best_dx = np.zeros((rows, cols), dtype=np.int64)
-        best_rank = np.zeros((rows, cols), dtype=np.int64)
-
-        evaluated = num_blocks
-        lower_bound_checks = 0
-        offsets_skipped = 0
-        use_lower_bound = (
-            policy in (SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM)
-            and kernel.supports_lower_bound
-        )
-        # min(ranks[i:]): lets a perfect-match early exit stay correct under
-        # out-of-spiral-order visiting (a remaining candidate can still win
-        # a SAD tie only if its spiral rank undercuts a block's best rank).
-        suffix_min_rank = np.minimum.accumulate(ranks[::-1])[::-1]
-
-        for index, (dy, dx) in enumerate(offsets[1:], start=1):
-            if policy is SearchPolicy.FULL:
-                sad = dense_sad(dy, dx)
-                improved = sad < best_sad
-                best_sad = np.where(improved, sad, best_sad)
-                best_dy[improved] = dy
-                best_dx[improved] = dx
-                evaluated += num_blocks
-                continue
-
-            rank = int(ranks[index])
-            need = best_sad > 0.0
-            if ranked:
-                need |= best_rank > rank
-                all_perfect = not (best_sad > 0.0).any()
-            else:
-                all_perfect = not need.any()
-            if all_perfect and best_rank.max() < suffix_min_rank[index]:
-                # Every block has a perfect match no remaining candidate
-                # can beat, not even on a spiral-rank tie.  Early exit —
-                # this offset and everything after it goes unevaluated.
-                offsets_skipped += len(offsets) - index
-                break
-            if use_lower_bound:
-                lower_bound_checks += num_blocks
-                lower = kernel.lower_bound_uniform(dy, dx)
-                if ranked:
-                    need &= (lower < best_sad) | (
-                        (lower <= best_sad) & (best_rank > rank)
-                    )
-                else:
-                    need &= lower < best_sad
-            rows_idx, cols_idx = np.nonzero(need)
-            count = rows_idx.size
-            if count == 0:
-                offsets_skipped += 1
-                continue
-            evaluated += count
-            if count == num_blocks:
-                sad = dense_sad(dy, dx)
-                improved = sad < best_sad
-                if ranked:
-                    improved |= (sad == best_sad) & (best_rank > rank)
-                best_sad = np.where(improved, sad, best_sad)
-                best_dy[improved] = dy
-                best_dx[improved] = dx
-                best_rank[improved] = rank
-            else:
-                sad = kernel.sad_subset(dy, dx, rows_idx, cols_idx)
-                current_best = best_sad[rows_idx, cols_idx]
-                improved = sad < current_best
-                if ranked:
-                    improved |= (sad == current_best) & (
-                        best_rank[rows_idx, cols_idx] > rank
-                    )
-                if improved.any():
-                    sel_rows = rows_idx[improved]
-                    sel_cols = cols_idx[improved]
-                    best_sad[sel_rows, sel_cols] = sad[improved]
-                    best_dy[sel_rows, sel_cols] = dy
-                    best_dx[sel_rows, sel_cols] = dx
-                    best_rank[sel_rows, sel_cols] = rank
-
+        offsets = self._window_offsets(self.config.search_range)
         self.last_search_stats = SearchStats(
-            candidates_total=num_blocks * len(offsets),
-            candidates_evaluated=evaluated,
-            lower_bound_checks=lower_bound_checks,
-            offsets_skipped=offsets_skipped,
+            candidates_total=kernel.rows * kernel.cols * len(offsets),
+            candidates_evaluated=kernel.rows * kernel.cols * len(offsets),
         )
+        if kernel.supports_fused:
+            best_dy, best_dx, best_sad = kernel.fused_exhaustive(offsets)
+        else:
+            # The first offset is always (0, 0): evaluating it up front seeds
+            # every block's best SAD without an inf sentinel.
+            best_sad = kernel.sad_uniform(0, 0)
+            best_dy = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
+            best_dx = np.zeros_like(best_dy)
+            for dy, dx in offsets[1:]:
+                sad = kernel.sad_uniform(dy, dx)
+                improved = sad < best_sad
+                best_sad = np.where(improved, sad, best_sad)
+                best_dy[improved] = dy
+                best_dx[improved] = dx
         # A match at offset (dx, dy) means the block content came from
         # (x + dx, y + dy) in the previous frame, i.e. it moved forward by
         # (-dx, -dy).

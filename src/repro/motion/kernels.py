@@ -32,14 +32,9 @@ Two execution modes, picked automatically per frame pair:
   same IEEE rounding, as the scalar reference loop
   (:mod:`repro.motion.reference`).  Bit-identical, at float64 bandwidth.
 
-On top of the two full-grid primitives the kernel exposes the pruning
-primitives that make the spiral/pruned exhaustive-search policies cheap:
-:meth:`sad_subset` evaluates one offset for a *subset* of macroblocks, and
-:meth:`lower_bound_uniform` computes the partial-sum (triangle-inequality)
-SAD lower bound ``|sum(block) - sum(reference patch)| <= SAD`` for every
-macroblock from O(1) summed-area-table lookups.  The lower bound is computed
-in exact integer arithmetic, so pruning on it can never discard a candidate
-the full scan would have accepted.
+With the numba backend active (:mod:`repro.motion.kernels_numba`) the
+integer primitives run compiled, and :meth:`SadKernel.fused_exhaustive`
+runs a whole exhaustive search in one compiled call.
 """
 
 from __future__ import annotations
@@ -354,9 +349,6 @@ class SadKernel:
         self._windows = sliding_window_view(self._padded, (block_size, block_size))
         self._base_y = search_range + np.arange(self.rows)[:, None] * block_size
         self._base_x = search_range + np.arange(self.cols)[None, :] * block_size
-        # Lazily-built partial-sum pruning tables (exact-integer mode only).
-        self._block_sums: Optional[np.ndarray] = None
-        self._window_sums: Optional[np.ndarray] = None
         # Pixel-major bands of the current blocks, built on sad_around's first call.
         self._bands: Optional[list] = None
 
@@ -387,11 +379,11 @@ class SadKernel:
     def sad_uniform(self, dy: int, dx: int) -> np.ndarray:
         """SAD of every macroblock at one global displacement ``(dy, dx)``.
 
-        The exhaustive-search primitive.  In float mode this uses a
-        whole-frame shifted difference, whose per-block reduction order can
-        differ from the scalar per-block loops by float rounding; in
-        exact-integer mode it shares the gather kernel (exact either way).
-        Returns a ``(rows, cols)`` float64 array.
+        The exhaustive-search primitive.  Exact-integer mode scores a
+        whole-frame shifted difference (exact in any summation order);
+        float mode takes the :meth:`sad_per_block` gather, whose per-block
+        reduction order is the scalar reference's.  Returns a
+        ``(rows, cols)`` float64 array.
         """
         if self.active_backend == "numba":
             out = np.empty((self.rows, self.cols), dtype=np.int64)
@@ -450,14 +442,7 @@ class SadKernel:
                 axis=(1, 3), dtype=self._accum_dtype
             )
             return self._descale(sad)
-        d = self.search_range
-        shifted = self._padded[
-            d + dy : d + dy + self.frame_height, d + dx : d + dx + self.frame_width
-        ]
-        diff = np.abs(self._current - shifted)
-        return diff.reshape(self.rows, self.block_size, self.cols, self.block_size).sum(
-            axis=(1, 3)
-        )
+        return self.sad_per_block(dy, dx)
 
     def sad_per_block(self, dy, dx) -> np.ndarray:
         """SAD of every macroblock at per-block displacements.
@@ -561,153 +546,9 @@ class SadKernel:
                 np.add.reduce(diff.reshape(L * L, blocks), axis=0, dtype=accum, out=out)
         return self._descale(sads).reshape((len(offsets),) + shape)
 
-    def sad_subset(self, dy: int, dx: int, rows_idx, cols_idx) -> np.ndarray:
-        """SAD at one global displacement for a subset of macroblocks.
-
-        ``rows_idx``/``cols_idx`` are matching 1-D index arrays (as produced
-        by ``np.nonzero`` on a block mask).  Returns a ``(k,)`` float64
-        array, bit-identical per block to the full-grid primitives: both
-        modes gather C-contiguous ``(L, L)`` patches and reduce over the
-        trailing axes, the same pairwise order as the scalar reference.
-        """
-        if self.active_backend == "numba":
-            rows_arr = np.ascontiguousarray(np.asarray(rows_idx, dtype=np.int64))
-            cols_arr = np.ascontiguousarray(np.asarray(cols_idx, dtype=np.int64))
-            out = np.empty(rows_arr.shape[0], dtype=np.int64)
-            kernels_numba.sad_subset(
-                self._current_blocks,
-                self._padded,
-                self.search_range,
-                dy,
-                dx,
-                rows_arr,
-                cols_arr,
-                out,
-            )
-            return self._descale(out)
-        ys = self._base_y[rows_idx, 0] + dy
-        xs = self._base_x[0, cols_idx] + dx
-        references = self._windows[ys, xs]
-        blocks = self._current_blocks[rows_idx, cols_idx]
-        if not self.exact_integer:
-            return np.abs(blocks - references).sum(axis=(1, 2))
-        if blocks.dtype == np.uint8:
-            diff = np.subtract(
-                np.maximum(blocks, references), np.minimum(blocks, references)
-            )
-        else:
-            diff = np.abs(blocks - references)
-        sad = diff.reshape(diff.shape[0], -1).sum(axis=-1, dtype=self._accum_dtype)
-        return self._descale(sad)
-
     # ------------------------------------------------------------------
-    # Partial-sum lower bound (exact-integer mode only)
+    # The fused compiled driver
     # ------------------------------------------------------------------
-    @property
-    def supports_lower_bound(self) -> bool:
-        """Whether :meth:`lower_bound_uniform` is available.
-
-        Only the exact-integer mode qualifies: the triangle inequality
-        ``|sum(a) - sum(b)| <= sum(|a - b|)`` is computed in exact integer
-        arithmetic there, so pruning on it is provably lossless.  In float
-        mode the bound's rounding could exceed the rounded SAD, which would
-        break bit-identity.
-        """
-        return self.exact_integer
-
-    def _ensure_prune_tables(self) -> None:
-        if self._block_sums is not None:
-            return
-        self._block_sums = self._current_blocks.reshape(self.rows, self.cols, -1).sum(
-            axis=-1, dtype=np.int64
-        )
-        # Summed-area table of the padded previous frame: the sum of the
-        # (L, L) window with top-left (y, x) is a 4-corner lookup, giving
-        # window sums aligned with self._windows' leading dimensions.
-        padded = np.asarray(self._padded, dtype=np.int64)
-        sat = np.zeros(
-            (padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64
-        )
-        np.cumsum(np.cumsum(padded, axis=0), axis=1, out=sat[1:, 1:])
-        size = self.block_size
-        self._window_sums = (
-            sat[size:, size:] - sat[size:, :-size] - sat[:-size, size:] + sat[:-size, :-size]
-        )
-
-    def lower_bound_uniform(self, dy: int, dx: int) -> np.ndarray:
-        """Partial-sum SAD lower bound for every macroblock at one offset.
-
-        ``|sum(block) - sum(reference)| <= SAD(block, reference)`` holds
-        exactly in integer arithmetic, so a block whose bound is already no
-        better than its best SAD cannot strictly improve and may be skipped.
-        Returns a ``(rows, cols)`` float64 array in frame units.
-        """
-        if not self.exact_integer:
-            raise RuntimeError("partial-sum lower bound requires the exact-integer mode")
-        self._ensure_prune_tables()
-        if self.active_backend == "numba":
-            out = np.empty((self.rows, self.cols), dtype=np.int64)
-            kernels_numba.lower_bound_uniform(
-                self._block_sums,
-                self._window_sums,
-                self.search_range,
-                self.block_size,
-                dy,
-                dx,
-                out,
-            )
-            return self._descale(out)
-        references = self._window_sums[self._base_y + dy, self._base_x + dx]
-        return self._descale(np.abs(self._block_sums - references))
-
-    # ------------------------------------------------------------------
-    # Candidate ordering and the fused compiled driver
-    # ------------------------------------------------------------------
-    def histogram_order(self, offsets: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Visit order for the histogram search policy.
-
-        Scores every candidate offset with the *global* partial-sum SAD
-        histogram — ``sum over blocks of |sum(block) - sum(reference)|``, an
-        O(1)-per-block whole-frame lower bound from the summed-area tables —
-        and returns the candidate indices sorted by ascending score (spiral
-        rank breaks score ties, and the rank-0 ``(0, 0)`` candidate is
-        always visited first as the seed).  Visiting globally promising
-        displacements early tightens every block's best SAD sooner, so the
-        per-block pruning rules skip more work than the fixed spiral does on
-        panning scenes whose true motion sits far from the window centre.
-
-        Requires the exact-integer mode (the tables the scores come from).
-        The returned indices double as the candidates' spiral ranks, which
-        is what makes out-of-spiral-order scanning bit-identical: updates
-        break SAD ties on the smaller spiral rank, so the winner is the
-        (SAD, spiral-rank) lexicographic minimum regardless of visit order.
-        """
-        if not self.exact_integer:
-            raise RuntimeError("histogram ordering requires the exact-integer mode")
-        self._ensure_prune_tables()
-        dys = np.ascontiguousarray([o[0] for o in offsets], dtype=np.int64)
-        dxs = np.ascontiguousarray([o[1] for o in offsets], dtype=np.int64)
-        scores = np.empty(len(offsets), dtype=np.int64)
-        if self.active_backend == "numba":
-            kernels_numba.histogram_scores(
-                self._block_sums,
-                self._window_sums,
-                self.search_range,
-                self.block_size,
-                dys,
-                dxs,
-                scores,
-            )
-        else:
-            for index in range(len(offsets)):
-                references = self._window_sums[
-                    self._base_y + dys[index], self._base_x + dxs[index]
-                ]
-                scores[index] = np.abs(self._block_sums - references).sum()
-        # lexsort: last key is primary — ascending score, spiral rank on ties.
-        order = np.lexsort((np.arange(len(offsets)), scores))
-        return np.concatenate(([0], order[order != 0])).astype(np.int64)
-
     @property
     def supports_fused(self) -> bool:
         """Whether :meth:`fused_exhaustive` runs compiled.
@@ -720,52 +561,29 @@ class SadKernel:
         return self.active_backend == "numba"
 
     def fused_exhaustive(
-        self,
-        offsets: Sequence[Tuple[int, int]],
-        ranks: np.ndarray,
-        policy_code: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+        self, offsets: Sequence[Tuple[int, int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whole exhaustive search in one compiled call (no Python dispatch).
 
-        ``offsets`` are the candidates in visit order, ``ranks`` their
-        spiral ranks (the tie-break), ``policy_code`` one of the
-        ``kernels_numba.POLICY_*`` pruning levels.  Returns
-        ``(best_dy, best_dx, best_sad, evaluated, lower_bound_checks,
-        offsets_skipped)`` with SAD already descaled to frame units.
+        ``offsets`` are the candidates in visit order, ``(0, 0)`` first.
+        Returns ``(best_dy, best_dx, best_sad)`` with SAD already descaled
+        to frame units.
         """
         if not self.exact_integer:
             raise RuntimeError("the fused exhaustive driver requires the exact-integer mode")
-        self._ensure_prune_tables()
         dys = np.ascontiguousarray([o[0] for o in offsets], dtype=np.int64)
         dxs = np.ascontiguousarray([o[1] for o in offsets], dtype=np.int64)
-        ranks = np.ascontiguousarray(ranks, dtype=np.int64)
-        suffix_min_rank = np.minimum.accumulate(ranks[::-1])[::-1].copy()
         best_dy = np.empty((self.rows, self.cols), dtype=np.int64)
         best_dx = np.empty((self.rows, self.cols), dtype=np.int64)
         best_sad = np.empty((self.rows, self.cols), dtype=np.int64)
-        eval_per_offset = np.zeros(len(offsets), dtype=np.int64)
-        evaluated, lower_bound_checks = kernels_numba.fused_exhaustive(
+        kernels_numba.fused_exhaustive(
             self._current_blocks,
             self._padded,
-            self._block_sums,
-            self._window_sums,
             dys,
             dxs,
-            ranks,
-            suffix_min_rank,
             self.search_range,
-            policy_code,
             best_dy,
             best_dx,
             best_sad,
-            eval_per_offset,
         )
-        offsets_skipped = int((eval_per_offset == 0).sum())
-        return (
-            best_dy,
-            best_dx,
-            self._descale(best_sad),
-            int(evaluated),
-            int(lower_bound_checks),
-            offsets_skipped,
-        )
+        return best_dy, best_dx, self._descale(best_sad)

@@ -2,11 +2,10 @@
 
 This module is the optional ``numba`` kernel backend selected through
 ``PipelineSpec(kernel_backend="numba")``.  It compiles the SAD hot loops of
-:mod:`repro.motion.kernels` — the uniform/per-block/subset SAD primitives,
-the partial-sum lower bound, and the per-macroblock SAD map — plus one
-**fused exhaustive-search driver** that runs a whole pruned/histogram/spiral
-scan per macroblock in a single compiled call, eliminating the remaining
-per-candidate Python dispatch of the NumPy driver.
+:mod:`repro.motion.kernels` — the uniform and per-block SAD primitives —
+plus one **fused exhaustive-search driver** that runs the whole scan per
+macroblock in a single compiled call, eliminating the per-candidate Python
+dispatch of the NumPy driver.
 
 Scope and bit-identity contract:
 
@@ -19,11 +18,10 @@ Scope and bit-identity contract:
   scalar oracle defines — a compiled sequential float sum would round
   differently, and bit-identity outranks speed in this repo.
 * The fused driver may *abort* a block's SAD summation once the running
-  partial sum exceeds the block's best SAD (the partial sum only grows, so
-  the candidate can no longer win, not even on an order-rank tie).  This
-  early termination changes how much arithmetic is spent, never which
-  candidate wins, so the returned field is still bit-identical to the full
-  scan.
+  partial sum reaches the block's best SAD (the partial sum only grows, so
+  the candidate can no longer strictly improve).  This early termination
+  changes how much arithmetic is spent, never which candidate wins, so the
+  returned field is still bit-identical to the NumPy scan.
 
 When Numba is not installed the module still imports cleanly:
 ``NUMBA_AVAILABLE`` is ``False``, ``@njit`` degrades to a no-op decorator,
@@ -62,13 +60,6 @@ def _jit(func):
     multi-second JIT warm-up.
     """
     return _njit(cache=True)(func)
-
-
-#: Fused-driver policy codes (kept in sync with
-#: :class:`repro.motion.block_matching.SearchPolicy` by the dispatcher).
-POLICY_FULL = 0
-POLICY_SPIRAL = 1
-POLICY_LOWER_BOUND = 2
 
 
 @_jit
@@ -110,177 +101,45 @@ def sad_per_block(current_blocks, padded, d, dy, dx, out):
 
 
 @_jit
-def sad_subset(current_blocks, padded, d, dy, dx, rows_idx, cols_idx, out):
-    """SAD at one global offset for an index-listed subset of macroblocks."""
-    block = current_blocks.shape[2]
-    for k in range(rows_idx.shape[0]):
-        r = rows_idx[k]
-        c = cols_idx[k]
-        base_y = d + r * block + dy
-        base_x = d + c * block + dx
-        total = np.int64(0)
-        for i in range(block):
-            yy = base_y + i
-            for j in range(block):
-                a = np.int64(current_blocks[r, c, i, j])
-                b = np.int64(padded[yy, base_x + j])
-                total += a - b if a >= b else b - a
-        out[k] = total
-
-
-@_jit
-def lower_bound_uniform(block_sums, window_sums, d, block, dy, dx, out):
-    """Partial-sum SAD lower bound for every macroblock at one offset."""
-    rows, cols = block_sums.shape[0], block_sums.shape[1]
-    for r in range(rows):
-        for c in range(cols):
-            ref = window_sums[d + r * block + dy, d + c * block + dx]
-            diff = block_sums[r, c] - ref
-            out[r, c] = diff if diff >= 0 else -diff
-
-
-@_jit
-def sad_map(current, reference, block_size, out):
-    """Per-macroblock zero-displacement SAD between two aligned frames."""
-    rows, cols = out.shape[0], out.shape[1]
-    for r in range(rows):
-        for c in range(cols):
-            total = np.int64(0)
-            for i in range(block_size):
-                yy = r * block_size + i
-                for j in range(block_size):
-                    xx = c * block_size + j
-                    a = np.int64(current[yy, xx])
-                    b = np.int64(reference[yy, xx])
-                    total += a - b if a >= b else b - a
-            out[r, c] = total
-
-
-@_jit
-def fused_exhaustive(
-    current_blocks,
-    padded,
-    block_sums,
-    window_sums,
-    dys,
-    dxs,
-    ranks,
-    suffix_min_rank,
-    d,
-    policy,
-    best_dy,
-    best_dx,
-    best_sad,
-    eval_per_offset,
-):
+def fused_exhaustive(current_blocks, padded, dys, dxs, d, best_dy, best_dx, best_sad):
     """One-call exhaustive search over every macroblock and candidate.
 
-    ``dys``/``dxs`` give the candidate offsets *in visit order* (spiral for
-    full/spiral/pruned, SAD-histogram order for the histogram policy);
-    ``ranks`` carries each candidate's spiral rank, which is the canonical
-    tie-break: the winning candidate is the (SAD, spiral-rank) lexicographic
-    minimum, exactly what the NumPy spiral scan with strict-improvement
-    updates computes, so the result is visit-order independent.
-    ``suffix_min_rank[k]`` is ``min(ranks[k:])`` and lets a perfect (SAD 0)
-    block stop as soon as no remaining candidate could still win a rank tie.
-
-    ``policy`` selects the pruning rules (:data:`POLICY_FULL` evaluates
-    everything, :data:`POLICY_SPIRAL` adds the SAD-0 skip,
-    :data:`POLICY_LOWER_BOUND` adds the partial-sum bound against
-    ``window_sums``).  Outputs: per-block best offset and integer SAD, plus
-    per-offset evaluation counts.  Returns ``(evaluated, lower_bound_checks)``.
+    ``dys``/``dxs`` give the candidate offsets in visit order, ``(0, 0)``
+    first; a block's best match moves only on a strictly smaller SAD, the
+    NumPy scan's rule.  Outputs: per-block best offset and integer SAD.
     """
     rows, cols = current_blocks.shape[0], current_blocks.shape[1]
     block = current_blocks.shape[2]
-    num_offsets = dys.shape[0]
-    total_eval = np.int64(0)
-    total_lb = np.int64(0)
     for r in range(rows):
         for c in range(cols):
             base_y = d + r * block
             base_x = d + c * block
-            # Seed with the first visited offset (always spiral rank 0, the
-            # (0, 0) candidate) so no infinity sentinel is needed.
-            oy = base_y + dys[0]
-            ox = base_x + dxs[0]
+            # Seed with the (0, 0) candidate so no infinity sentinel is needed.
             best = np.int64(0)
             for i in range(block):
-                yy = oy + i
+                yy = base_y + dys[0] + i
                 for j in range(block):
                     a = np.int64(current_blocks[r, c, i, j])
-                    b = np.int64(padded[yy, ox + j])
+                    b = np.int64(padded[yy, base_x + dxs[0] + j])
                     best += a - b if a >= b else b - a
-            best_rank = ranks[0]
             best_k = 0
-            eval_per_offset[0] += 1
-            total_eval += 1
-            bsum = block_sums[r, c]
-
-            for k in range(1, num_offsets):
-                rank = ranks[k]
-                if policy != POLICY_FULL and best == 0:
-                    if best_rank < suffix_min_rank[k]:
-                        # No remaining candidate can beat SAD 0 at an
-                        # earlier spiral rank: this block is done.
-                        break
-                    if rank > best_rank:
-                        continue
-                if policy == POLICY_LOWER_BOUND:
-                    ref = window_sums[base_y + dys[k], base_x + dxs[k]]
-                    diff = bsum - ref
-                    bound = diff if diff >= 0 else -diff
-                    total_lb += 1
-                    # The candidate can only win with SAD < best, or with
-                    # SAD == best at an earlier spiral rank; SAD >= bound.
-                    if bound > best or (bound == best and rank > best_rank):
-                        continue
+            for k in range(1, dys.shape[0]):
                 oy = base_y + dys[k]
                 ox = base_x + dxs[k]
                 sad = np.int64(0)
-                aborted = False
                 for i in range(block):
                     yy = oy + i
                     for j in range(block):
                         a = np.int64(current_blocks[r, c, i, j])
                         b = np.int64(padded[yy, ox + j])
                         sad += a - b if a >= b else b - a
-                    if sad > best:
+                    if sad >= best:
                         # The partial sum only grows: this candidate can no
-                        # longer strictly improve nor tie, whatever its rank.
-                        aborted = True
+                        # longer strictly improve.
                         break
-                eval_per_offset[k] += 1
-                total_eval += 1
-                if aborted:
-                    continue
-                if sad < best or (sad == best and rank < best_rank):
+                if sad < best:
                     best = sad
-                    best_rank = rank
                     best_k = k
             best_dy[r, c] = dys[best_k]
             best_dx[r, c] = dxs[best_k]
             best_sad[r, c] = best
-    return total_eval, total_lb
-
-
-@_jit
-def histogram_scores(block_sums, window_sums, d, block, dys, dxs, out):
-    """Global partial-sum SAD score of every candidate offset.
-
-    ``out[k] = sum_blocks |sum(block) - sum(reference patch at offset k)|``
-    — a whole-frame lower bound on the total SAD at that offset, computed
-    from the same summed-area tables as :func:`lower_bound_uniform`.
-    Sorting candidates by this score (histogram policy) visits globally
-    promising displacements first, which tightens every block's best SAD
-    early and makes the per-block pruning rules bite sooner on panning
-    scenes whose true motion sits far from the spiral's centre.
-    """
-    rows, cols = block_sums.shape[0], block_sums.shape[1]
-    for k in range(dys.shape[0]):
-        total = np.int64(0)
-        for r in range(rows):
-            base_y = d + r * block + dys[k]
-            for c in range(cols):
-                diff = block_sums[r, c] - window_sums[base_y, d + c * block + dxs[k]]
-                total += diff if diff >= 0 else -diff
-        out[k] = total

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.motion.block_matching import (
     BlockMatcher,
@@ -12,6 +13,7 @@ from repro.motion.block_matching import (
     exhaustive_search_ops_per_macroblock,
     three_step_search_ops_per_macroblock,
 )
+from repro.motion.reference import scalar_estimate
 
 
 def _textured_frame(rng: np.random.Generator, height: int = 64, width: int = 96) -> np.ndarray:
@@ -231,3 +233,116 @@ class TestESvsTSS:
         interior_tss = tss_field.vectors[1:-1, 1:-1]
         agreement = np.mean(np.all(interior_es == interior_tss, axis=-1))
         assert agreement > 0.8
+
+
+def _exhaustive(current, previous, block_size, search_range):
+    matcher = BlockMatcher(
+        BlockMatchingConfig(
+            block_size=block_size,
+            search_range=search_range,
+            strategy=SearchStrategy.EXHAUSTIVE,
+        )
+    )
+    return matcher, matcher.estimate(current, previous)
+
+
+def _assert_exhaustive_matches_oracle(current, previous, block_size, search_range):
+    oracle = scalar_estimate(
+        current, previous, block_size=block_size, search_range=search_range, three_step=False
+    )
+    _matcher, field = _exhaustive(current, previous, block_size, search_range)
+    assert np.array_equal(field.vectors, oracle.vectors)
+    assert np.array_equal(field.sad, oracle.sad)
+
+
+class TestExhaustiveMatchesOracle:
+    """The vectorized exhaustive scan equals the scalar oracle bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        block_size=st.sampled_from([3, 4, 8, 16]),
+        search_range=st.sampled_from([0, 1, 2, 5, 7]),
+        height=st.integers(8, 48),
+        width=st.integers(8, 48),
+    )
+    def test_integer_frames(self, seed, block_size, search_range, height, width):
+        rng = np.random.default_rng(seed)
+        current = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        previous = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        _assert_exhaustive_matches_oracle(current, previous, block_size, search_range)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        block_size=st.sampled_from([4, 8, 16]),
+        search_range=st.sampled_from([0, 2, 7]),
+        height=st.integers(8, 48),
+        width=st.integers(8, 48),
+    )
+    def test_fixed_point_frames(self, seed, block_size, search_range, height, width):
+        """Q8.4-lattice floats ride the exact integer kernel."""
+        rng = np.random.default_rng(seed)
+        current = np.round(rng.uniform(0, 255, (height, width)) * 16) / 16
+        previous = np.round(rng.uniform(0, 255, (height, width)) * 16) / 16
+        _assert_exhaustive_matches_oracle(current, previous, block_size, search_range)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        block_size=st.sampled_from([4, 8, 16]),
+        search_range=st.sampled_from([0, 2, 7]),
+        height=st.integers(8, 48),
+        width=st.integers(8, 48),
+    )
+    def test_fractional_float_frames(self, seed, block_size, search_range, height, width):
+        """Genuinely fractional frames take the float gather path."""
+        rng = np.random.default_rng(seed)
+        current = rng.uniform(0, 255, (height, width))
+        previous = rng.uniform(0, 255, (height, width))
+        _assert_exhaustive_matches_oracle(current, previous, block_size, search_range)
+
+    def test_zero_search_range(self):
+        """d = 0 collapses the window to the co-located block."""
+        rng = np.random.default_rng(3)
+        current = rng.integers(0, 256, (40, 56)).astype(np.uint8)
+        previous = rng.integers(0, 256, (40, 56)).astype(np.uint8)
+        _assert_exhaustive_matches_oracle(current, previous, 8, 0)
+        _matcher, field = _exhaustive(current, previous, 8, 0)
+        assert field.max_magnitude() == 0.0
+
+    def test_edge_padded_blocks(self):
+        """Frame sizes that are not block multiples exercise the edge padding."""
+        rng = np.random.default_rng(4)
+        for height, width in [(50, 70), (33, 47), (17, 90)]:
+            current = rng.integers(0, 256, (height, width)).astype(np.uint8)
+            previous = rng.integers(0, 256, (height, width)).astype(np.uint8)
+            _assert_exhaustive_matches_oracle(current, previous, 16, 7)
+
+    def test_flat_frames_keep_zero_motion_tiebreak(self):
+        """Every offset ties on flat content: the smallest motion wins."""
+        flat = np.full((48, 64), 128, dtype=np.uint8)
+        _assert_exhaustive_matches_oracle(flat, flat, 16, 7)
+        _matcher, field = _exhaustive(flat, flat, 16, 7)
+        assert field.max_magnitude() == 0.0
+        assert np.all(field.sad == 0.0)
+
+
+class TestSearchAccounting:
+    def test_exhaustive_operation_count_matches_analytical(self):
+        rng = np.random.default_rng(6)
+        frame = rng.integers(0, 256, (64, 96)).astype(np.uint8)
+        matcher, _field = _exhaustive(frame, frame, 16, 7)
+        expected = (64 // 16) * (96 // 16) * matcher.config.ops_per_macroblock
+        assert matcher.last_operation_count == expected
+        stats = matcher.last_search_stats
+        assert stats.candidates_evaluated == stats.candidates_total == 24 * 225
+        assert stats.evaluated_fraction == 1.0
+
+    def test_three_step_clears_search_stats(self):
+        rng = np.random.default_rng(7)
+        frame = rng.integers(0, 256, (48, 48)).astype(np.uint8)
+        matcher, _field = _exhaustive(frame, frame, 16, 7)
+        matcher.config = BlockMatchingConfig(strategy=SearchStrategy.THREE_STEP)
+        matcher.estimate(frame, frame)
+        assert matcher.last_search_stats is None

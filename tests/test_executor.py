@@ -253,15 +253,15 @@ class TestShardedEquivalenceProperty:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        search_policy=st.sampled_from(["full", "spiral", "pruned"]),
+        exhaustive_search=st.booleans(),
         scheduling_policy=st.sampled_from(["fair", "energy"]),
         forced=st.sets(st.integers(min_value=1, max_value=23), max_size=4),
     )
     def test_sharded_matches_serial(
-        self, small_sequence, fast_motion_sequence, search_policy,
+        self, small_sequence, fast_motion_sequence, exhaustive_search,
         scheduling_policy, forced,
     ):
-        spec = PipelineSpec(extrapolation_window=4, search_policy=search_policy)
+        spec = PipelineSpec(extrapolation_window=4, exhaustive_search=exhaustive_search)
         sequences = [small_sequence, fast_motion_sequence]
 
         serial = []

@@ -6,9 +6,9 @@ Three layers of coverage for the optional compiled (Numba) SAD backend:
   ``numba`` to ``numpy`` when the ``[accel]`` extra is absent;
 * graceful degradation — a subprocess with the ``numba`` import blocked
   still runs a ``kernel_backend="numba"`` pipeline, on numpy, bit-identically;
-* equivalence — a hypothesis property drive of the full pruned/histogram ES
-  pipeline comparing the numba code paths against the numpy backend and the
-  scalar oracle.  When Numba is not installed the backend is *forced* active
+* equivalence — a hypothesis property drive of the exhaustive search
+  comparing the numba code paths (the fused driver) against the numpy
+  backend and the scalar oracle.  When Numba is not installed the backend is *forced* active
   so the ``kernels_numba`` loops execute as plain Python — slow, but the
   same code the compiler compiles, so the logic is verified everywhere and
   the CI ``kernels-accel`` job re-runs it compiled.
@@ -27,12 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.motion import kernels_numba
-from repro.motion.block_matching import (
-    BlockMatcher,
-    BlockMatchingConfig,
-    SearchPolicy,
-    SearchStrategy,
-)
+from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
 from repro.motion.kernels import (
     KERNEL_BACKENDS,
     SadKernel,
@@ -96,7 +91,6 @@ class TestGracefulDegradation:
             from repro.motion.block_matching import (
                 BlockMatcher,
                 BlockMatchingConfig,
-                SearchPolicy,
                 SearchStrategy,
             )
             from repro.motion.kernels import numba_available, resolve_kernel_backend
@@ -116,7 +110,6 @@ class TestGracefulDegradation:
                         block_size=8,
                         search_range=3,
                         strategy=SearchStrategy.EXHAUSTIVE,
-                        search_policy=SearchPolicy.PRUNED,
                         kernel_backend=backend,
                     )
                 )
@@ -152,13 +145,12 @@ def active_numba(monkeypatch):
     monkeypatch.setattr(kernels_numba, "NUMBA_AVAILABLE", True)
 
 
-def _estimate(current, previous, policy, backend, block_size, search_range):
+def _estimate(current, previous, backend, block_size, search_range):
     matcher = BlockMatcher(
         BlockMatchingConfig(
             block_size=block_size,
             search_range=search_range,
             strategy=SearchStrategy.EXHAUSTIVE,
-            search_policy=policy,
             kernel_backend=backend,
         )
     )
@@ -176,9 +168,7 @@ class TestBackendEquivalence:
         height=st.integers(8, 24),
         width=st.integers(8, 24),
     )
-    def test_integer_frames_all_policies(
-        self, seed, block_size, search_range, height, width
-    ):
+    def test_integer_frames(self, seed, block_size, search_range, height, width):
         # An inline monkeypatch context (not the fixture): hypothesis
         # forbids function-scoped fixtures inside @given.
         with pytest.MonkeyPatch.context() as patch:
@@ -193,18 +183,15 @@ class TestBackendEquivalence:
                 search_range=search_range,
                 three_step=False,
             )
-            for policy in SearchPolicy:
-                matcher, field = _estimate(
-                    current, previous, policy, "numba", block_size, search_range
-                )
-                assert matcher.last_kernel_backend == "numba"
-                assert np.array_equal(field.vectors, oracle.vectors), policy
-                assert np.array_equal(field.sad, oracle.sad), policy
-                _numpy_matcher, numpy_field = _estimate(
-                    current, previous, policy, "numpy", block_size, search_range
-                )
-                assert np.array_equal(field.vectors, numpy_field.vectors), policy
-                assert np.array_equal(field.sad, numpy_field.sad), policy
+            matcher, field = _estimate(current, previous, "numba", block_size, search_range)
+            assert matcher.last_kernel_backend == "numba"
+            assert np.array_equal(field.vectors, oracle.vectors)
+            assert np.array_equal(field.sad, oracle.sad)
+            _numpy_matcher, numpy_field = _estimate(
+                current, previous, "numpy", block_size, search_range
+            )
+            assert np.array_equal(field.vectors, numpy_field.vectors)
+            assert np.array_equal(field.sad, numpy_field.sad)
 
     def test_fixed_point_frames(self, active_numba):
         """Q8.4 lattice floats descale identically through the fused driver."""
@@ -214,12 +201,11 @@ class TestBackendEquivalence:
         oracle = scalar_estimate(
             current, previous, block_size=8, search_range=2, three_step=False
         )
-        for policy in SearchPolicy:
-            matcher, field = _estimate(current, previous, policy, "numba", 8, 2)
-            assert matcher.last_kernel_backend == "numba"
-            assert matcher.last_kernel_scale == 16
-            assert np.array_equal(field.vectors, oracle.vectors), policy
-            assert np.array_equal(field.sad, oracle.sad), policy
+        matcher, field = _estimate(current, previous, "numba", 8, 2)
+        assert matcher.last_kernel_backend == "numba"
+        assert matcher.last_kernel_scale == 16
+        assert np.array_equal(field.vectors, oracle.vectors)
+        assert np.array_equal(field.sad, oracle.sad)
 
     def test_three_step_search(self, active_numba):
         """TSS rides the compiled per-block primitive; same field as numpy."""
@@ -242,13 +228,12 @@ class TestBackendEquivalence:
         assert np.array_equal(field.vectors, oracle.vectors)
         assert np.array_equal(field.sad, oracle.sad)
 
-    def test_flat_frame_early_exit_accounting(self, active_numba):
-        """The fused driver's work accounting matches the numpy driver's."""
+    def test_flat_frame_keeps_zero_motion(self, active_numba):
+        """Every candidate ties at SAD 0 and aborts on its first row: the
+        fused driver keeps the (0, 0) seed and counts the full window."""
         flat = np.full((32, 32), 200, dtype=np.uint8)
-        for policy in (SearchPolicy.SPIRAL, SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM):
-            matcher, field = _estimate(flat, flat, policy, "numba", 8, 3)
-            assert field.max_magnitude() == 0.0
-            stats = matcher.last_search_stats
-            num_offsets = (2 * 3 + 1) ** 2
-            assert stats.candidates_evaluated == stats.candidates_total // num_offsets
-            assert stats.offsets_skipped == num_offsets - 1
+        matcher, field = _estimate(flat, flat, "numba", 8, 3)
+        assert field.max_magnitude() == 0.0
+        assert np.all(field.sad == 0.0)
+        stats = matcher.last_search_stats
+        assert stats.candidates_evaluated == stats.candidates_total == 16 * 49

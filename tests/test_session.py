@@ -3,8 +3,8 @@
 The contract under test: ``run(sequence)`` is a thin wrapper over
 ``open_session`` + per-frame ``submit`` + ``finish``, so submitting the
 frames yourself must be *bit-identical* to the batch path — for detection
-and tracking, for constant and adaptive windows, and for every
-``search_policy`` variant.
+and tracking, for constant and adaptive windows, and for both search
+strategies.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ def run_streamed(spec, backend, sequence, **submit_kwargs):
         PipelineSpec(extrapolation_window=2),
         PipelineSpec(extrapolation_window=4, sub_roi_grid=(1, 1)),
         PipelineSpec(extrapolation_window="adaptive"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="full"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="spiral"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="pruned"),
+        PipelineSpec(extrapolation_window=2, exhaustive_search=True),
     ],
     ids=lambda spec: spec.describe(),
 )
@@ -116,24 +114,6 @@ class TestRunIsASessionWrapper:
             pipeline.run(small_sequence)
         pipeline.backend = tracking_backend_for("mdnet")
         pipeline.run(small_sequence)  # must not report a stale lease
-
-    def test_subclass_disagreement_override_reaches_sessions(self, small_sequence):
-        from repro.core.pipeline import EuphratesPipeline
-
-        calls = []
-
-        class CustomMetric(EuphratesPipeline):
-            @classmethod
-            def _disagreement(cls, inferred, predicted):
-                calls.append((len(inferred), len(predicted)))
-                return 0.0
-
-        spec = PipelineSpec(extrapolation_window=2)
-        pipeline = CustomMetric(
-            tracking_backend_for("mdnet"), spec.window_controller(), spec.euphrates_config()
-        )
-        pipeline.run(small_sequence)
-        assert calls  # the session-backed run() consulted the override
 
     def test_adaptive_clone_starts_from_the_configured_initial_window(self):
         from repro.core.window import AdaptiveWindowController

@@ -10,7 +10,7 @@ import pytest
 from repro.core.backends import tracking_backend_for
 from repro.core.spec import PipelineSpec, normalize_window
 from repro.core.window import AdaptiveWindowController, ConstantWindowController
-from repro.motion.block_matching import SearchPolicy, SearchStrategy
+from repro.motion.block_matching import SearchStrategy
 
 
 class TestNormalization:
@@ -33,8 +33,6 @@ class TestNormalization:
             PipelineSpec(block_size=0)
         with pytest.raises(ValueError):
             PipelineSpec(search_range=-1)
-        with pytest.raises(ValueError):
-            PipelineSpec(search_policy="greedy")
         with pytest.raises(ValueError):
             PipelineSpec(kernel_backend="cython")
         with pytest.raises(ValueError):
@@ -73,13 +71,12 @@ class TestFromKwargs:
             block_size=8,
             search_range=3,
             exhaustive_search=True,
-            search_policy="spiral",
             sub_roi_grid=(1, 1),
             expose_motion_vectors=False,
         )
         assert spec.extrapolation_window == "adaptive"
         assert spec.block_size == 8
-        assert spec.search_policy == "spiral"
+        assert spec.exhaustive_search
         assert not spec.expose_motion_vectors
 
     def test_unknown_kwarg_is_a_type_error(self):
@@ -99,12 +96,8 @@ class TestCliRoundTrip:
             PipelineSpec(),
             PipelineSpec(extrapolation_window="adaptive"),
             PipelineSpec(extrapolation_window=8, block_size=32, search_range=15),
-            PipelineSpec(exhaustive_search=True, search_policy="full"),
-            PipelineSpec(
-                exhaustive_search=True,
-                search_policy="histogram",
-                kernel_backend="numba",
-            ),
+            PipelineSpec(exhaustive_search=True),
+            PipelineSpec(exhaustive_search=True, kernel_backend="numba"),
             PipelineSpec(sub_roi_grid=(1, 1), expose_motion_vectors=False),
             PipelineSpec(soc_config="720p30", extrapolation_host="cpu"),
             PipelineSpec(soc_config="640x480@15"),
@@ -146,7 +139,6 @@ class TestCacheKey:
             PipelineSpec(block_size=8),
             PipelineSpec(search_range=3),
             PipelineSpec(exhaustive_search=True),
-            PipelineSpec(search_policy="full"),
             PipelineSpec(kernel_backend="numba"),
             PipelineSpec(sub_roi_grid=(1, 1)),
             PipelineSpec(expose_motion_vectors=False),
@@ -170,7 +162,6 @@ class TestBuild:
             block_size=32,
             search_range=5,
             exhaustive_search=True,
-            search_policy="spiral",
             kernel_backend="numba",
             sub_roi_grid=(1, 2),
             expose_motion_vectors=False,
@@ -180,7 +171,6 @@ class TestBuild:
         assert config.block_matching.block_size == 32
         assert config.block_matching.search_range == 5
         assert config.block_matching.strategy is SearchStrategy.EXHAUSTIVE
-        assert config.block_matching.search_policy is SearchPolicy.SPIRAL
         assert config.block_matching.kernel_backend == "numba"
         assert config.extrapolation.sub_roi_grid == (1, 2)
         assert not config.expose_motion_vectors
@@ -199,7 +189,7 @@ class TestBuild:
             PipelineSpec(
                 extrapolation_window="adaptive", exhaustive_search=True
             ).describe()
-            == "EW-A/b16/r7/es/pruned"
+            == "EW-A/b16/r7/es"
         )
 
     def test_describe_marks_non_default_backend(self):

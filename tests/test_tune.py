@@ -87,16 +87,6 @@ class TestSpaces:
         assert len({c.cache_key() for c in candidates}) == 3
 
     def test_redundant_combos_are_filtered(self):
-        dims = {
-            "exhaustive_search": [False, True],
-            "search_policy": ["pruned", "histogram"],
-        }
-        candidates = enumerate_candidates(dims)
-        # TSS ignores the scan policy, so histogram-under-TSS must not appear.
-        assert not any(
-            not c.exhaustive_search and c.search_policy == "histogram"
-            for c in candidates
-        )
         dims = {"extrapolation_window": [1], "extrapolation_host": ["cpu"]}
         # EW-1 has no E-frames: nothing for a CPU host to extrapolate.
         assert all(
