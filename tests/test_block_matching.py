@@ -328,6 +328,46 @@ class TestExhaustiveMatchesOracle:
         assert np.all(field.sad == 0.0)
 
 
+    def test_uint8_sads_wider_than_uint16(self):
+        """32x32 blocks of unrelated noise: SADs pass 2**16 without wrapping."""
+        rng = np.random.default_rng(8)
+        current = rng.integers(0, 256, (80, 100)).astype(np.uint8)
+        previous = rng.integers(0, 256, (80, 100)).astype(np.uint8)
+        _assert_exhaustive_matches_oracle(current, previous, 32, 5)
+        _matcher, field = _exhaustive(current, previous, 32, 5)
+        assert field.sad.max() > 2**16
+
+    def test_wide_integer_frames(self):
+        """Integer frames past the int16 range use int32 and an integer reduction."""
+        rng = np.random.default_rng(9)
+        current = rng.integers(-(2**20), 2**20, (40, 56)).astype(np.int64)
+        previous = rng.integers(-(2**20), 2**20, (40, 56)).astype(np.int64)
+        _assert_exhaustive_matches_oracle(current, previous, 8, 3)
+
+    def test_search_range_wider_than_frame(self):
+        """Offsets past the frame edge read the edge-replicated padding."""
+        rng = np.random.default_rng(10)
+        current = rng.integers(0, 256, (16, 24)).astype(np.uint8)
+        previous = rng.integers(0, 256, (16, 24)).astype(np.uint8)
+        _assert_exhaustive_matches_oracle(current, previous, 8, 12)
+
+    def test_periodic_ties_keep_the_nearest_offset(self):
+        """Content repeating every 4 px ties at offsets 4 apart: the nearest wins."""
+        rng = np.random.default_rng(11)
+        tile = rng.integers(0, 256, (4, 4)).astype(np.uint8)
+        previous = np.tile(tile, (12, 16))
+        current = np.roll(previous, (1, 2), axis=(0, 1))
+        _assert_exhaustive_matches_oracle(current, previous, 16, 7)
+        _matcher, field = _exhaustive(current, previous, 16, 7)
+        # current[y, x] = previous[y - 1, x - 2]: the match at (dy, dx) =
+        # (-1, -2) and its ties at (-1, 2), (3, -2), ... all have SAD 0; the
+        # nearest-to-zero one is the forward motion (2, 1).
+        interior = field.vectors[1:-1, 1:-1]
+        assert np.all(interior[..., 0] == 2.0)
+        assert np.all(interior[..., 1] == 1.0)
+        assert np.all(field.sad[1:-1, 1:-1] == 0.0)
+
+
 class TestSearchAccounting:
     def test_exhaustive_operation_count_matches_analytical(self):
         rng = np.random.default_rng(6)
@@ -346,3 +386,21 @@ class TestSearchAccounting:
         matcher.config = BlockMatchingConfig(strategy=SearchStrategy.THREE_STEP)
         matcher.estimate(frame, frame)
         assert matcher.last_search_stats is None
+
+    def test_exhaustive_stats_count_padded_blocks(self):
+        """Edge-padded blocks are searched, and counted, like full ones."""
+        rng = np.random.default_rng(12)
+        frame = rng.integers(0, 256, (50, 70)).astype(np.uint8)
+        matcher, field = _exhaustive(frame, frame, 16, 3)
+        assert (field.grid.rows, field.grid.cols) == (4, 5)
+        assert matcher.last_search_stats.candidates_total == 20 * 49
+        assert matcher.last_operation_count == 20 * matcher.config.ops_per_macroblock
+
+    @pytest.mark.parametrize("search_range", [0, 1, 7])
+    def test_window_offsets_visit_nearest_first(self, search_range):
+        offsets = BlockMatcher._window_offsets(search_range)
+        side = 2 * search_range + 1
+        assert len(offsets) == len(set(offsets)) == side * side
+        assert offsets[0] == (0, 0)
+        distances = [dy * dy + dx * dx for dy, dx in offsets]
+        assert distances == sorted(distances)

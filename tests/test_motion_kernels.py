@@ -244,3 +244,52 @@ class TestStepNeighbourhood:
                     valid = (np.abs(dy) <= d) & (np.abs(dx) <= d)
                     expected = slow.sad_per_block(np.clip(dy, -d, d), np.clip(dx, -d, d))
                     assert np.array_equal(sad[valid], expected[valid])
+
+
+def _uniform_case(case):
+    """Frames and block size that send ``sad_uniform`` down one integer path."""
+    rng = np.random.default_rng(17)
+    if case == "uint8_float32_reduction":
+        shape, block_size = (48, 64), 16
+        frames = [rng.integers(0, 256, shape).astype(np.uint8) for _ in range(2)]
+    elif case == "uint8_integer_reduction":
+        # 255 * 264**2 >= 2**24: float32 could no longer hold every block SAD.
+        shape, block_size = (264, 528), 264
+        frames = [rng.integers(0, 256, shape).astype(np.uint8) for _ in range(2)]
+    elif case == "int16_float32_reduction":
+        # Q8.4 lattice floats are matched as int16 multiples of 1/16.
+        shape, block_size = (48, 64), 16
+        frames = [np.round(rng.uniform(0, 255, shape) * 16) / 16 for _ in range(2)]
+    else:  # "int32_integer_reduction"
+        shape, block_size = (48, 64), 16
+        frames = [rng.integers(-(2**20), 2**20, shape).astype(np.int64) for _ in range(2)]
+    return frames[0], frames[1], block_size
+
+
+class TestUniformShiftPrimitive:
+    """``SadKernel.sad_uniform``, the exhaustive-search primitive, is exact.
+
+    Every integer path (working dtype x float32-or-integer reduction) must
+    give the float-mode per-block gather's SADs at every window offset.
+    """
+
+    @pytest.mark.parametrize(
+        "case, work_dtype, float32_reduction",
+        [
+            ("uint8_float32_reduction", np.uint8, True),
+            ("uint8_integer_reduction", np.uint8, False),
+            ("int16_float32_reduction", np.int16, True),
+            ("int32_integer_reduction", np.int32, False),
+        ],
+    )
+    def test_every_offset_equals_float_mode(self, case, work_dtype, float32_reduction):
+        current, previous, block_size = _uniform_case(case)
+        search_range = 2
+        fast = SadKernel(current, previous, block_size, search_range)
+        slow = SadKernel(current, previous, block_size, search_range, exact_integer=False)
+        assert fast.exact_integer and not slow.exact_integer
+        assert fast._current.dtype == work_dtype
+        assert fast._f32_reduction_exact == float32_reduction
+        for dy in range(-search_range, search_range + 1):
+            for dx in range(-search_range, search_range + 1):
+                assert np.array_equal(fast.sad_uniform(dy, dx), slow.sad_per_block(dy, dx))
