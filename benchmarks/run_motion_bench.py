@@ -8,8 +8,9 @@ Run from the repository root:
 
 Each run measures fps / per-frame latency / analytical op counts for the
 vectorized three-step search (against the scalar oracle it must beat), the
-exhaustive search (against the scalar oracle on a crop), and the fixed-point
-float-frame path, then
+exhaustive search (against the scalar oracle on a crop of the 720p frames and
+at the tracking pool's 192x108 frames), and the fixed-point float-frame
+path, then
 **appends** a dated entry to the trajectory file — the perf history
 accumulates across commits instead of being overwritten.  A legacy
 single-payload ``BENCH_motion.json`` is migrated into the first trajectory
@@ -23,8 +24,8 @@ to numpy when Numba is absent), so the trajectory never lies about what ran.
 
 ``--guard`` enforces the perf floors stored in the file (the CI
 ``perf-guard`` and ``kernels-accel`` jobs run this): the process exits
-non-zero when the fresh measurement's TSS or ES speedup over the scalar
-oracle drops below its floor — or, under ``--kernel-backend numba``, when
+non-zero when the fresh measurement's TSS or either ES speedup over the
+scalar oracle drops below its floor — or, under ``--kernel-backend numba``, when
 the backend failed to activate or its ES speedup over numpy missed the
 accel floor.
 
@@ -58,6 +59,11 @@ DEFAULT_FLOORS = {
     # Exhaustive search vs the scalar oracle's ES on the 360x640 crop of
     # the 720p sequence (perf.ES_ORACLE_CROP): measured 23-39x.
     "min_es_speedup_vs_scalar_720p": 15.0,
+    # The same ratio at the tracking pool's 192x108 frames
+    # (perf.ES_SMALL_FRAME), where ES is dispatch-bound: measured 22.7-32.4x
+    # over 12 runs with the one-call window scan (14.7-15.5x with the old
+    # per-offset loop).
+    "min_es_speedup_vs_scalar_192x108": 15.0,
     # Ceiling on the modeled per-stream energy of the multi-stream bench
     # (run_stream_bench.py --guard).  The modeled energy is deterministic
     # for a given spec/workload, so a breach means a real regression in the
@@ -108,10 +114,12 @@ def check_floors(entry: dict, floors: dict) -> list:
     measured = {
         result["resolution"]: result for result in entry.get("results", [])
     }
+    measured["192x108"] = entry.get("es_small_frame")
     violations = []
     checks = [
         ("min_tss_speedup_720p", "720p", "speedup"),
         ("min_es_speedup_vs_scalar_720p", "720p", "es_speedup_vs_scalar"),
+        ("min_es_speedup_vs_scalar_192x108", "192x108", "es_speedup_vs_scalar"),
     ]
     for floor_key, resolution, metric in checks:
         floor = floors.get(floor_key)
@@ -269,6 +277,13 @@ def main() -> int:
         if "fixed_point_fps" in result:
             line += f"; Q8.4 TSS {result['fixed_point_fps']:.1f} fps"
         print(line)
+    small = entry.get("es_small_frame")
+    if small is not None:
+        print(
+            f"  {small['frame'][1]}x{small['frame'][0]}: ES "
+            f"{small['es_s_per_frame'] * 1e3:.2f} ms/frame "
+            f"({small['es_speedup_vs_scalar']:.1f}x scalar)"
+        )
 
     if args.guard:
         violations = check_floors(entry, document["floors"])

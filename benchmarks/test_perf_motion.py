@@ -15,7 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.harness.perf import benchmark_motion_estimation, synthetic_luma_sequence
+from repro.harness.perf import (
+    benchmark_motion_estimation,
+    benchmark_small_frame_es,
+    synthetic_luma_sequence,
+)
 from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig
 from repro.motion.reference import scalar_estimate
 
@@ -43,6 +47,15 @@ def test_vectorized_es_at_least_15x_scalar_on_720p_crop():
     entry = payload["results"][0]
     assert entry["es_speedup_vs_scalar"] >= 15.0, (
         f"only {entry['es_speedup_vs_scalar']:.1f}x"
+    )
+
+
+def test_vectorized_es_at_least_15x_scalar_at_192x108():
+    """Small frames: the regime where per-call dispatch sets ES's speed."""
+    small = benchmark_small_frame_es()
+    assert small["frame"] == [108, 192]
+    assert small["es_speedup_vs_scalar"] >= 15.0, (
+        f"only {small['es_speedup_vs_scalar']:.1f}x"
     )
 
 

@@ -1,10 +1,8 @@
 """Sharded execution core: one scheduling layer under sweeps and serving.
 
-Historically the repo had two disjoint parallel-execution paths:
-``EuphratesPipeline.run_dataset(max_workers)`` pickled whole
-``VideoSequence`` objects into a ``ProcessPoolExecutor`` while the
-:class:`~repro.core.streaming.StreamMultiplexer` scheduled in-process
-sessions single-threaded.  This module unifies them:
+Dataset sweeps (``EuphratesPipeline.run_dataset(max_workers)``) and live
+serving (:class:`~repro.core.streaming.StreamMultiplexer`) share one
+execution core:
 
 * :class:`StreamShard` is the scheduling core — the two-phase
   (E-burst / batched-I) fair-share and energy/deadline policies that used
@@ -55,10 +53,8 @@ SCHEDULING_POLICIES = ("fair", "energy")
 
 #: Frame transports: ``auto`` picks shared memory when worker processes are
 #: in play and the in-process transport otherwise; ``shm`` / ``inproc``
-#: force one; ``pickle`` selects the legacy ``ProcessPoolExecutor``
-#: whole-sequence fallback in :meth:`EuphratesPipeline.run_dataset` (it is
-#: not a valid executor transport).
-TRANSPORTS = ("auto", "shm", "inproc", "pickle")
+#: force one.
+TRANSPORTS = ("auto", "shm", "inproc")
 
 _SLOT_HEADER_BYTES = 16
 _SLOT_FREE = 0
@@ -1180,11 +1176,6 @@ class ShardedExecutor:
         isolate_failures: bool = False,
     ) -> None:
         spec = ExecutionSpec(workers=workers, transport=transport)  # validates
-        if spec.transport == "pickle":
-            raise ValueError(
-                "transport='pickle' selects the legacy run_dataset fallback; "
-                "the executor supports 'auto', 'shm' and 'inproc'"
-            )
         self.schedule = schedule or ShardSchedule()
         self.pipeline = pipeline
         self.workers = spec.workers

@@ -108,8 +108,7 @@ class PipelineSpec:
     #: everything in-process (the bit-identical serial path).
     workers: int = 1
     #: Frame transport between client and shards: ``auto`` (shared memory
-    #: when workers > 1), ``shm``, ``inproc``, or ``pickle`` (the legacy
-    #: whole-sequence ProcessPoolExecutor fallback in ``run_dataset``).
+    #: when workers > 1), ``shm`` or ``inproc``.
     transport: str = "auto"
 
     def __post_init__(self) -> None:

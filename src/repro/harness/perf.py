@@ -38,6 +38,11 @@ RESOLUTIONS: Dict[str, Tuple[int, int]] = {
 #: keeps 900 blocks and the ratio, since both sides scale with block count.
 ES_ORACLE_CROP: Tuple[int, int] = (360, 640)
 
+#: Frame size (height, width) of the tracking pool's sequences.  ES there
+#: scores 84 blocks per offset, so per-call dispatch rather than arithmetic
+#: sets its speed; it is timed against the scalar oracle on its own.
+ES_SMALL_FRAME: Tuple[int, int] = (108, 192)
+
 
 def synthetic_luma_sequence(
     height: int, width: int, num_frames: int, seed: int = 0
@@ -89,6 +94,9 @@ def benchmark_motion_estimation(
       its ``es_vs_tss`` ratio; with ``include_scalar`` as well, the ES and
       scalar-oracle ES timings on the :data:`ES_ORACLE_CROP` crop and their
       ``es_speedup_vs_scalar`` ratio;
+    * with ``include_exhaustive`` and ``include_scalar``, ES and scalar-oracle
+      ES timings at :data:`ES_SMALL_FRAME` and their ratio, once per run
+      (the top-level ``es_small_frame`` dict);
     * with ``include_fixed_point``, TSS timing on Q8.4 fixed-point float
       frames (``fixed_point_*``) and its ratio to the uint8 fast path —
       tracking that float-valued frames no longer fall off onto the float64
@@ -193,11 +201,63 @@ def benchmark_motion_estimation(
             entry["fixed_point_kernel_exact"] = bool(matcher.last_kernel_exact)
         results.append(entry)
 
-    return {
+    payload = {
         "benchmark": "motion_estimation",
         "block_size": block_size,
         "search_range": search_range,
         "kernel_backend": kernel_backend,
         "kernel_backend_active": active_backend,
         "results": results,
+    }
+    if include_exhaustive and include_scalar:
+        payload["es_small_frame"] = benchmark_small_frame_es(
+            block_size, search_range, kernel_backend, seed=seed
+        )
+    return payload
+
+
+def benchmark_small_frame_es(
+    block_size: int = 16,
+    search_range: int = 7,
+    kernel_backend: str = "numpy",
+    num_frames: int = 6,
+    repeats: int = 10,
+    seed: int = 0,
+) -> Dict[str, object]:
+    """Time ES against the scalar oracle at :data:`ES_SMALL_FRAME`.
+
+    The vectorized side is a few milliseconds per frame, so each pair is
+    timed ``repeats`` times (mean) to keep one slow interval from setting
+    the ratio; the oracle scores each pair once.  The two sides alternate
+    pair by pair, so a change in machine speed mid-run hits both alike.
+    """
+    height, width = ES_SMALL_FRAME
+    frames = synthetic_luma_sequence(height, width, num_frames, seed=seed)
+    matcher = BlockMatcher(
+        BlockMatchingConfig(
+            block_size=block_size,
+            search_range=search_range,
+            strategy=SearchStrategy.EXHAUSTIVE,
+            kernel_backend=kernel_backend,
+        )
+    )
+    matcher.estimate(frames[1], frames[0])  # warm-up
+    es_s = scalar_s = 0.0
+    for index in range(1, num_frames):
+        pair = frames[index - 1 : index + 1]
+        es_s += sum(_time_per_frame(matcher.estimate, pair) for _ in range(repeats)) / repeats
+        scalar_s += _time_per_frame(
+            lambda cur, prev: scalar_estimate(
+                cur, prev, block_size=block_size, search_range=search_range, three_step=False
+            ),
+            pair,
+        )
+    es_s /= num_frames - 1
+    scalar_s /= num_frames - 1
+    return {
+        "frame": [height, width],
+        "frames_timed": num_frames - 1,
+        "es_s_per_frame": es_s,
+        "es_scalar_s_per_frame": scalar_s,
+        "es_speedup_vs_scalar": scalar_s / es_s,
     }

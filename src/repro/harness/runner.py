@@ -100,7 +100,7 @@ class SweepRunner:
     ) -> None:
         self.max_workers = max_workers
         #: Frame transport for sharded runs (``None`` = the pipeline's
-        #: configured default; ``"pickle"`` selects the legacy process pool).
+        #: configured default).
         self.transport = transport
         self.cache_hits = 0
         self.cache_misses = 0

@@ -10,17 +10,17 @@ Two search strategies are provided:
   Costs ``L^2 * (1 + 8 * log2(d + 1))`` operations per macroblock, an ~8/9
   reduction at ``d = 7``.
 
-Both strategies are fully vectorized: every candidate displacement is
-evaluated for the whole macroblock grid at once through the shared
-:class:`~repro.motion.kernels.SadKernel`, so a search step costs a handful
-of NumPy dispatches regardless of frame size.  The original per-macroblock
-Python loops live on in :mod:`repro.motion.reference` as the bit-identical
-correctness oracle.
+Both strategies are fully vectorized through the shared
+:class:`~repro.motion.kernels.SadKernel`: a TSS step scores its candidates
+for the whole macroblock grid at once, and ES scores the whole window in one
+call (a few NumPy dispatches per window row and band of block rows).  The
+original per-macroblock Python loops live on in
+:mod:`repro.motion.reference` as the bit-identical correctness oracle.
 
 Exhaustive search is a fixed-work scan: every block is scored at every
-offset of the window, visited nearest-to-zero first, and a candidate
-replaces a block's best match only on a *strictly* smaller SAD — the
-scalar oracle's rule, so ties break towards the smallest motion.
+offset of the window, and a block keeps the first offset reaching its
+minimum SAD with offsets ordered nearest-to-zero first — the scalar
+oracle's strict-``<`` scan, so ties break towards the smallest motion.
 
 Both strategies return a :class:`~repro.motion.motion_field.MotionField`
 holding forward motion vectors (previous frame -> current frame) and the SAD
@@ -149,9 +149,9 @@ class BlockMatcher:
         #: Kernel backend that actually served the most recent estimate
         #: (``numba`` only when compiled and in exact-integer mode).
         self.last_kernel_backend = "numpy"
-        # Buffer pool shared by the per-frame kernels (diff images, float32
-        # reduction staging) so the steady-state frame path stops paying
-        # ~16 MB of fresh allocations per estimate.
+        # Buffer pool shared by the per-frame kernels (padded frames, block
+        # copies, three-step neighbourhoods) so the steady-state frame path
+        # stops paying fresh allocations per estimate.
         self._kernel_scratch = KernelScratch()
 
     # ------------------------------------------------------------------
@@ -224,24 +224,39 @@ class BlockMatcher:
         moves only on a strictly smaller SAD, so ties keep the smallest
         motion — exactly the scalar oracle's scan.  When the compiled kernel
         backend is active the whole scan runs as one fused per-macroblock
-        call (:meth:`SadKernel.fused_exhaustive`); otherwise each offset is
-        one dense :meth:`SadKernel.sad_uniform` call over the whole grid.
+        call (:meth:`SadKernel.fused_exhaustive`).  In exact-integer NumPy
+        mode one :meth:`SadKernel.sad_window` call scores the whole window,
+        and a first-occurrence ``argmin`` over the candidates in visit order
+        picks the same winner as the strict-``<`` scan.  Float mode scans
+        offset by offset with :meth:`SadKernel.sad_per_block`, the oracle's
+        reduction order.
         """
-        offsets = self._window_offsets(self.config.search_range)
+        d = self.config.search_range
+        offsets = self._window_offsets(d)
+        shape = (kernel.rows, kernel.cols)
         self.last_search_stats = SearchStats(
             candidates_total=kernel.rows * kernel.cols * len(offsets),
             candidates_evaluated=kernel.rows * kernel.cols * len(offsets),
         )
         if kernel.supports_fused:
             best_dy, best_dx, best_sad = kernel.fused_exhaustive(offsets)
+        elif kernel.exact_integer:
+            visit = np.array(offsets)
+            span = 2 * d + 1
+            sads = kernel.sad_window().reshape(span * span, -1)
+            sads = sads[(visit[:, 0] + d) * span + visit[:, 1] + d]
+            winner = np.argmin(sads, axis=0)
+            best_sad = kernel.descale(np.take_along_axis(sads, winner[None], axis=0)[0])
+            best_sad = best_sad.reshape(shape)
+            best_dy, best_dx = visit[winner].T.reshape((2,) + shape)
         else:
             # The first offset is always (0, 0): evaluating it up front seeds
             # every block's best SAD without an inf sentinel.
-            best_sad = kernel.sad_uniform(0, 0)
-            best_dy = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
+            best_sad = kernel.sad_per_block(0, 0)
+            best_dy = np.zeros(shape, dtype=np.int64)
             best_dx = np.zeros_like(best_dy)
             for dy, dx in offsets[1:]:
-                sad = kernel.sad_uniform(dy, dx)
+                sad = kernel.sad_per_block(dy, dx)
                 improved = sad < best_sad
                 best_sad = np.where(improved, sad, best_sad)
                 best_dy[improved] = dy

@@ -1,11 +1,13 @@
-"""Shared per-offset SAD kernels for the block-matching strategies.
+"""Shared SAD kernels for the block-matching strategies.
 
 Both search strategies evaluate "the SAD of every macroblock against the
-previous frame displaced by some offset".  Exhaustive search evaluates one
-*global* offset per candidate (:meth:`SadKernel.sad_uniform`); three-step
-search scores the neighbours of a *per-block* center, one step at a time
+previous frame displaced by some offset".  Exhaustive search scores the
+whole window at once (:meth:`SadKernel.sad_window`: one broadcast pass per
+window row covers every horizontal offset); three-step search scores the
+neighbours of a *per-block* center, one step at a time
 (:meth:`SadKernel.sad_around`).  Either way the whole macroblock grid costs a
-handful of NumPy dispatches per candidate instead of a Python loop.
+handful of NumPy dispatches per window row or candidate instead of a Python
+loop.
 
 Two execution modes, picked automatically per frame pair:
 
@@ -13,10 +15,9 @@ Two execution modes, picked automatically per frame pair:
   realistic case: luma planes are 8-bit in a real ISP), every SAD is an
   integer small enough that float64 arithmetic on it is exact regardless of
   summation order.  The kernel therefore runs in narrow integer dtypes
-  (uint8 absolute differences, uint16-int64 accumulation), which cuts memory
-  traffic ~8x versus float64 and lets uniform offsets use cheap whole-frame
-  shifted differences.  Results are bit-identical to the scalar float64
-  reference by exactness.
+  (uint8 absolute differences, uint16-int64 accumulation sized from the
+  largest possible block SAD), which cuts memory traffic ~8x versus float64.
+  Results are bit-identical to the scalar float64 reference by exactness.
 
   The mode also covers **fixed-point frames**: float frames whose values all
   lie on a power-of-two lattice (e.g. the Q8.4 frames the quantized ISP
@@ -33,7 +34,7 @@ Two execution modes, picked automatically per frame pair:
   (:mod:`repro.motion.reference`).  Bit-identical, at float64 bandwidth.
 
 With the numba backend active (:mod:`repro.motion.kernels_numba`) the
-integer primitives run compiled, and :meth:`SadKernel.fused_exhaustive`
+per-block primitive runs compiled, and :meth:`SadKernel.fused_exhaustive`
 runs a whole exhaustive search in one compiled call.
 """
 
@@ -50,9 +51,10 @@ from . import kernels_numba
 #: guarantees every SAD stays far below 2**53 so float64 sums are exact.
 _MAX_EXACT_INT = 2**20
 
-#: Bytes of current-frame blocks per band of block rows :meth:`SadKernel.sad_around`
-#: scores at a time, so a band's neighbourhoods, blocks and differences stay
-#: in a core's L2 cache across all of a step's candidates.
+#: Bytes per band of block rows the exhaustive and three-step primitives
+#: score at a time: :meth:`SadKernel.sad_window` bounds a band's difference
+#: image by it, :meth:`SadKernel.sad_around` its current-frame blocks, so a
+#: band's working set stays in a core's L2 cache across all its candidates.
 _BAND_BYTES = 2**18
 
 #: Kernel backends selectable through ``PipelineSpec(kernel_backend=...)``.
@@ -151,10 +153,11 @@ def fixed_point_scale(*frames: np.ndarray) -> Optional[int]:
 class KernelScratch:
     """Reusable buffer pool shared by successive :class:`SadKernel` instances.
 
-    A kernel is built per frame pair, but its scratch buffers (difference
-    images, float32 reduction staging) depend only on the frame geometry and
-    working dtype — reallocating ~16 MB of them every frame costs more in
-    page faults than the SAD arithmetic they stage.  A long-lived owner (the
+    A kernel is built per frame pair, but its scratch buffers (the padded
+    previous frame, block copies, three-step neighbourhoods and differences)
+    depend only on the frame geometry and working dtype — reallocating them
+    every frame costs more in page faults than the SAD arithmetic they
+    stage.  A long-lived owner (the
     :class:`~repro.motion.block_matching.BlockMatcher`) passes one pool to
     every kernel it builds; buffers are handed back by name and reallocated
     only when the geometry or dtype changes.
@@ -202,8 +205,15 @@ def _edge_pad_pooled(
     return padded
 
 
+def _accumulator(dtype: np.dtype, bound: float):
+    """Narrowest dtype that sums non-negative differences of ``dtype`` up to ``bound``."""
+    if dtype == np.uint8 and bound < 2**16:
+        return np.uint16
+    return np.int32 if bound < 2**31 else np.int64
+
+
 class SadKernel:
-    """Per-offset SAD evaluation over a whole macroblock grid.
+    """SAD evaluation over a whole macroblock grid.
 
     Parameters
     ----------
@@ -298,33 +308,9 @@ class SadKernel:
             self._padded = _edge_pad_pooled(
                 np.asarray(previous, dtype=work), search_range, pool
             )
-            # int32 sums cannot overflow for uint8 diffs with L <= 2896 and
-            # are measurably faster than int64 on the hot path.
-            if work == np.uint8 and 255 * block_size * block_size < 2**31:
-                self._accum_dtype = np.int32
-            else:
-                self._accum_dtype = np.int64
-            # Whole-frame uniform SADs reduce via float32 GEMV when every
-            # possible block SAD stays below 2**24: float32 then represents
-            # every partial sum exactly (all terms are non-negative bounded
-            # integers), so the BLAS reduction is bit-equal to the integer
-            # sum while running ~3x faster than a strided integer reduction.
             max_diff = 255.0 if work == np.uint8 else high - low
             #: Largest SAD any block can reach, which bounds every accumulator.
             self._max_block_sad = max_diff * block_size * block_size
-            self._f32_reduction_exact = self._max_block_sad < float(2**24)
-            self._ones_f32 = np.ones(block_size, dtype=np.float32)
-            # Scratch reused across the ~25 SAD evaluations a search makes
-            # with one kernel (and, via a caller-supplied pool, across the
-            # kernels of successive frames): fresh 2 MB allocations per
-            # candidate cost more in page faults than the arithmetic itself.
-            self._frame_diff = pool.get("frame_diff", (height, width), work)
-            self._frame_diff2 = pool.get("frame_diff2", (height, width), work)
-            self._frame_f32 = (
-                pool.get("frame_f32", (height, width), np.float32)
-                if self._f32_reduction_exact
-                else None
-            )
         else:
             self._current = np.ascontiguousarray(current, dtype=np.float64)
             self._padded = _edge_pad_pooled(
@@ -366,7 +352,7 @@ class SadKernel:
             bands.append((first, stop, band.reshape(L, L, -1)))
         return bands
 
-    def _descale(self, sad: np.ndarray) -> np.ndarray:
+    def descale(self, sad: np.ndarray) -> np.ndarray:
         """Integer SAD back to frame units (exact: scale is a power of two)."""
         out = sad.astype(np.float64)
         if self.scale != 1:
@@ -376,73 +362,67 @@ class SadKernel:
     # ------------------------------------------------------------------
     # Public SAD primitives
     # ------------------------------------------------------------------
-    def sad_uniform(self, dy: int, dx: int) -> np.ndarray:
-        """SAD of every macroblock at one global displacement ``(dy, dx)``.
+    def sad_window(self) -> np.ndarray:
+        """Integer SAD of every macroblock at every window offset.
 
-        The exhaustive-search primitive.  Exact-integer mode scores a
-        whole-frame shifted difference (exact in any summation order);
-        float mode takes the :meth:`sad_per_block` gather, whose per-block
-        reduction order is the scalar reference's.  Returns a
-        ``(rows, cols)`` float64 array.
+        The exhaustive-search primitive, exact-integer mode only.  Returns
+        ``(2d+1, 2d+1, rows, cols)`` indexed ``[dy + d, dx + d]``, in the
+        kernel's scaled integer units (:meth:`descale` converts).
+
+        Works through bands of block rows, each band's difference image at
+        most :data:`_BAND_BYTES` (one block row when a row alone is larger).
+        Per band and window row ``dy``, one broadcast pass takes the absolute
+        differences against all ``2d+1`` horizontal offsets at once (a
+        sliding-window view of the padded previous frame), then two
+        reductions sum the ``L`` pixel rows and the ``L`` columns of every
+        block.  Integer sums are exact in any order, so every SAD equals the
+        scalar reference's.
         """
-        if self.active_backend == "numba":
-            out = np.empty((self.rows, self.cols), dtype=np.int64)
-            kernels_numba.sad_uniform(
-                self._current_blocks, self._padded, self.search_range, dy, dx, out
-            )
-            return self._descale(out)
-        if self.exact_integer:
-            # Whole-frame shifted difference instead of the (rows, cols, L, L)
-            # fancy-index gather: the shifted reference is a *view* of the
-            # padded frame, so this touches each pixel once at the narrow
-            # working dtype.  Integer sums are exact in any order, so every
-            # reduction below is bit-identical to the gather kernel (and to
-            # the scalar reference) by exactness.
-            d = self.search_range
-            L = self.block_size
-            shifted = self._padded[
-                d + dy : d + dy + self.frame_height, d + dx : d + dx + self.frame_width
-            ]
-            if self._current.dtype == np.uint8 and self._f32_reduction_exact:
-                # |a - b| for uint8 via max/min, with the final subtract
-                # emitting float32 directly (the ufunc upcasts both uint8
-                # operands to float32, where differences <= 255 are exact) —
-                # this fuses away the separate widening pass the GEMV input
-                # would otherwise need.
-                np.maximum(self._current, shifted, out=self._frame_diff)
-                np.minimum(self._current, shifted, out=self._frame_diff2)
-                np.subtract(
-                    self._frame_diff, self._frame_diff2, out=self._frame_f32
+        if not self.exact_integer:
+            raise RuntimeError("sad_window requires the exact-integer mode")
+        L, d, width = self.block_size, self.search_range, self.frame_width
+        span = 2 * d + 1
+        dtype = self._current.dtype
+        column_accum = _accumulator(dtype, self._max_block_sad / L)
+        block_accum = _accumulator(dtype, self._max_block_sad)
+        band_rows = max(1, _BAND_BYTES // (L * span * width * dtype.itemsize))
+        largest = min(band_rows, self.rows)
+        # One band's buffers, allocated per call rather than pooled: sessions
+        # that live for one short sequence would otherwise pin them between
+        # frames and fragment the heap of a worker that opens many sessions.
+        diff, diff2 = np.empty((2, largest * L, span, width), dtype=dtype)
+        columns = np.empty((largest, span, width), dtype=column_accum)
+        # shifted[y, k] is padded row y from column k: window offset dx = k - d.
+        shifted = sliding_window_view(self._padded, width, axis=1)
+        sads = np.empty((span, span, self.rows, self.cols), dtype=block_accum)
+        for first in range(0, self.rows, band_rows):
+            stop = min(first + band_rows, self.rows)
+            blocks, pixels = stop - first, (stop - first) * L
+            current = self._current[first * L : stop * L, None, :]
+            band, band2, partial = diff[:pixels], diff2[:pixels], columns[:blocks]
+            for dy in range(-d, d + 1):
+                top = d + first * L + dy
+                reference = shifted[top : top + pixels]
+                if dtype == np.uint8:
+                    np.maximum(current, reference, out=band)
+                    np.minimum(current, reference, out=band2)
+                    np.subtract(band, band2, out=band)
+                else:
+                    np.subtract(current, reference, out=band)
+                    np.abs(band, out=band)
+                np.add.reduce(
+                    band.reshape(blocks, L, span, width),
+                    axis=1,
+                    dtype=column_accum,
+                    out=partial,
                 )
-                partial = self._frame_f32.reshape(-1, L) @ self._ones_f32
-                partial = partial.reshape(self.frame_height, self.cols)
-                sad = partial.reshape(self.rows, L, self.cols).transpose(0, 2, 1) @ (
-                    self._ones_f32
+                np.add.reduce(
+                    partial.reshape(blocks, span, self.cols, L),
+                    axis=3,
+                    dtype=block_accum,
+                    out=sads[dy + d, :, first:stop].transpose(1, 0, 2),
                 )
-                return self._descale(sad.astype(np.int64))
-            diff = self._frame_diff
-            if self._current.dtype == np.uint8:
-                np.maximum(self._current, shifted, out=diff)
-                np.minimum(self._current, shifted, out=self._frame_diff2)
-                np.subtract(diff, self._frame_diff2, out=diff)
-            else:
-                np.subtract(self._current, shifted, out=diff)
-                np.abs(diff, out=diff)
-            if self._f32_reduction_exact:
-                # Two exact float32 GEMVs: columns within each block row of
-                # pixels, then the L pixel rows of each block.
-                np.copyto(self._frame_f32, diff, casting="unsafe")
-                partial = self._frame_f32.reshape(-1, L) @ self._ones_f32
-                partial = partial.reshape(self.frame_height, self.cols)
-                sad = partial.reshape(self.rows, L, self.cols).transpose(0, 2, 1) @ (
-                    self._ones_f32
-                )
-                return self._descale(sad.astype(np.int64))
-            sad = diff.reshape(self.rows, L, self.cols, L).sum(
-                axis=(1, 3), dtype=self._accum_dtype
-            )
-            return self._descale(sad)
-        return self.sad_per_block(dy, dx)
+        return sads
 
     def sad_per_block(self, dy, dx) -> np.ndarray:
         """SAD of every macroblock at per-block displacements.
@@ -462,7 +442,7 @@ class SadKernel:
             kernels_numba.sad_per_block(
                 self._current_blocks, self._padded, self.search_range, dy_arr, dx_arr, out
             )
-            return self._descale(out)
+            return self.descale(out)
         if self.exact_integer:
             return self.sad_around(dy, dx, [(0, 0)])[0]
         references = self._windows[self._base_y + dy, self._base_x + dx]
@@ -508,11 +488,7 @@ class SadKernel:
         shared = (center_dy == center_dy[0, 0]).all() and (center_dx == center_dx[0, 0]).all()
 
         dtype = self._current.dtype
-        bound = self._max_block_sad
-        if dtype == np.uint8 and bound < 2**16:
-            accum = np.uint16
-        else:
-            accum = np.int32 if bound < 2**31 else np.int64
+        accum = _accumulator(dtype, self._max_block_sad)
         if self._bands is None:
             self._bands = self._pixel_major_bands()
         largest = self._bands[0][2].shape[-1]
@@ -544,7 +520,7 @@ class SadKernel:
                     np.abs(diff, out=diff)
                 out = sads[index, first * self.cols : stop * self.cols]
                 np.add.reduce(diff.reshape(L * L, blocks), axis=0, dtype=accum, out=out)
-        return self._descale(sads).reshape((len(offsets),) + shape)
+        return self.descale(sads).reshape((len(offsets),) + shape)
 
     # ------------------------------------------------------------------
     # The fused compiled driver
@@ -586,4 +562,4 @@ class SadKernel:
             best_dx,
             best_sad,
         )
-        return best_dy, best_dx, self._descale(best_sad)
+        return best_dy, best_dx, self.descale(best_sad)

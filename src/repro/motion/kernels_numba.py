@@ -1,11 +1,10 @@
 """Compiled (Numba) integer-domain SAD kernels behind :class:`SadKernel`.
 
 This module is the optional ``numba`` kernel backend selected through
-``PipelineSpec(kernel_backend="numba")``.  It compiles the SAD hot loops of
-:mod:`repro.motion.kernels` — the uniform and per-block SAD primitives —
-plus one **fused exhaustive-search driver** that runs the whole scan per
-macroblock in a single compiled call, eliminating the per-candidate Python
-dispatch of the NumPy driver.
+``PipelineSpec(kernel_backend="numba")``.  It compiles the per-block SAD
+primitive of :mod:`repro.motion.kernels` plus one **fused exhaustive
+search** that runs the whole scan per macroblock in a single compiled call,
+eliminating the Python dispatch of the NumPy scan.
 
 Scope and bit-identity contract:
 
@@ -60,25 +59,6 @@ def _jit(func):
     multi-second JIT warm-up.
     """
     return _njit(cache=True)(func)
-
-
-@_jit
-def sad_uniform(current_blocks, padded, d, dy, dx, out):
-    """SAD of every macroblock at one global offset, into ``out`` (int64)."""
-    rows, cols = current_blocks.shape[0], current_blocks.shape[1]
-    block = current_blocks.shape[2]
-    for r in range(rows):
-        for c in range(cols):
-            base_y = d + r * block + dy
-            base_x = d + c * block + dx
-            total = np.int64(0)
-            for i in range(block):
-                yy = base_y + i
-                for j in range(block):
-                    a = np.int64(current_blocks[r, c, i, j])
-                    b = np.int64(padded[yy, base_x + j])
-                    total += a - b if a >= b else b - a
-            out[r, c] = total
 
 
 @_jit

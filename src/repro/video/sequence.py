@@ -34,11 +34,6 @@ class VideoSequence:
         Visual attributes characterising the sequence (Fig. 12 categories).
     fps:
         Nominal capture rate; the paper's evaluation uses 60 FPS.
-    source_config:
-        The generator configuration this sequence was rendered from, when
-        known.  Parallel runners ship this small handle across process
-        boundaries and re-render the frames worker-side instead of
-        pickling the full pixel array.
     """
 
     name: str
@@ -47,7 +42,6 @@ class VideoSequence:
     labels: Dict[int, str] = field(default_factory=dict)
     attributes: FrozenSet[VisualAttribute] = frozenset()
     fps: float = 60.0
-    source_config: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.frames.ndim != 3:

@@ -118,7 +118,6 @@ class SequenceGenerator:
             labels=labels,
             attributes=config.attributes,
             fps=config.fps,
-            source_config=config,
         )
 
     # ------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from repro.motion.block_matching import (
     exhaustive_search_ops_per_macroblock,
     three_step_search_ops_per_macroblock,
 )
+from repro.motion import kernels
 from repro.motion.reference import scalar_estimate
 
 
@@ -366,6 +369,49 @@ class TestExhaustiveMatchesOracle:
         assert np.all(interior[..., 0] == 2.0)
         assert np.all(interior[..., 1] == 1.0)
         assert np.all(field.sad[1:-1, 1:-1] == 0.0)
+
+    def test_tracking_geometry_spans_bands(self):
+        """192x108 frames at d = 7: seven block rows over a full and a partial band."""
+        rng = np.random.default_rng(13)
+        previous = rng.integers(0, 256, (108, 192)).astype(np.uint8)
+        current = np.roll(previous, (3, -5), axis=(0, 1))
+        _assert_exhaustive_matches_oracle(current, previous, 16, 7)
+
+    def test_single_block_row(self):
+        rng = np.random.default_rng(14)
+        current = rng.integers(0, 256, (12, 80)).astype(np.uint8)
+        previous = rng.integers(0, 256, (12, 80)).astype(np.uint8)
+        _assert_exhaustive_matches_oracle(current, previous, 16, 7)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        block_size=st.sampled_from([2, 4, 8, 16]),
+        search_range=st.sampled_from([0, 1, 3, 7, 12]),
+        height=st.integers(4, 60),
+        width=st.integers(4, 60),
+        frac_bits=st.sampled_from([0, 4, 8]),
+        band_bytes=st.sampled_from([1, 2**9, 2**12, 2**18]),
+    )
+    def test_banded_scan_matches_oracle(
+        self, seed, block_size, search_range, height, width, frac_bits, band_bytes
+    ):
+        """Any band height, dtype path and window size: ES equals the oracle."""
+        rng = np.random.default_rng(seed)
+        previous = rng.integers(0, 256, (height, width))
+        current = np.roll(previous, tuple(rng.integers(-4, 5, 2)), axis=(0, 1))
+        noisy = rng.random((height, width)) < 0.3
+        current[noisy] = rng.integers(0, 256, int(noisy.sum()))
+        if frac_bits:
+            scale = 2**frac_bits
+            current = (current * scale + rng.integers(0, scale, current.shape)) / scale
+            previous = (previous * scale + rng.integers(0, scale, previous.shape)) / scale
+        else:
+            current, previous = current.astype(np.uint8), previous.astype(np.uint8)
+        with mock.patch.object(kernels, "_BAND_BYTES", band_bytes):
+            matcher, _field = _exhaustive(current, previous, block_size, search_range)
+            assert matcher.last_kernel_scale == 2**frac_bits
+            _assert_exhaustive_matches_oracle(current, previous, block_size, search_range)
 
 
 class TestSearchAccounting:

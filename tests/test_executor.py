@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,10 +43,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="deadline_frames"):
             ShardSchedule(deadline_frames=0)
 
-    def test_executor_rejects_pickle_transport(self):
+    def test_pickle_transport_is_gone(self, tiny_tracking_dataset):
+        """The whole-sequence process-pool transport was removed: every
+        entry point rejects it instead of running a second parallel path."""
+        with pytest.raises(ValueError, match="unknown transport"):
+            PipelineSpec(transport="pickle")
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
-        with pytest.raises(ValueError, match="legacy"):
-            ShardedExecutor(pipeline, transport="pickle")
+        with pytest.raises(ValueError, match="unknown transport"):
+            ShardedExecutor(pipeline, workers=2, transport="pickle")
+        with pytest.raises(ValueError, match="unknown transport"):
+            pipeline.run_dataset(tiny_tracking_dataset, max_workers=2, transport="pickle")
 
     def test_inproc_transport_cannot_cross_processes(self):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
@@ -203,32 +207,6 @@ class TestShardedRunDataset:
             assert sum(len(result) for result, _ in outcomes) == total
         finally:
             executor.close()
-
-    def test_legacy_pickle_transport_still_matches_serial(
-        self, tiny_tracking_dataset
-    ):
-        spec = PipelineSpec(extrapolation_window=4)
-        serial = spec.build(tracking_backend_for("mdnet")).run_dataset(
-            tiny_tracking_dataset
-        )
-        legacy = spec.build(tracking_backend_for("mdnet")).run_dataset(
-            tiny_tracking_dataset, max_workers=2, transport="pickle"
-        )
-        for left, right in zip(serial, legacy):
-            assert_results_identical(left, right)
-
-    def test_legacy_jobs_ship_config_handles_not_frame_stacks(
-        self, tiny_tracking_dataset
-    ):
-        from repro.core.pipeline import _sequence_handle
-
-        sequence = tiny_tracking_dataset.sequences[0]
-        handle = _sequence_handle(sequence)
-        kind, payload = handle
-        assert kind == "config"
-        # The handle is a tiny generator config, orders of magnitude below
-        # the pixel stack the old fallback pickled.
-        assert len(pickle.dumps(handle)) < sequence.frames.nbytes / 50
 
     def test_worker_failure_surfaces_as_shard_error(self):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))

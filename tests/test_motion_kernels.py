@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
+from repro.motion import kernels
 from repro.motion.kernels import SadKernel, frames_are_integer
 from repro.motion.reference import scalar_estimate
 
@@ -58,17 +59,23 @@ class TestSadKernelModes:
         assert kernel.exact_integer
         assert kernel.scale == 16
 
-    def test_uniform_and_per_block_agree_on_integers(self):
+    def test_window_and_per_block_agree_on_integers(self):
         rng = np.random.default_rng(0)
         current = rng.integers(0, 256, (32, 48)).astype(np.uint8)
         previous = rng.integers(0, 256, (32, 48)).astype(np.uint8)
         kernel = SadKernel(current, previous, block_size=16, search_range=3)
+        window = kernel.sad_window()
+        assert window.shape == (7, 7, 2, 3)
         for dy, dx in [(0, 0), (1, -2), (-3, 3)]:
-            uniform = kernel.sad_uniform(dy, dx)
             per_block = kernel.sad_per_block(
                 np.full((2, 3), dy, dtype=np.int64), np.full((2, 3), dx, dtype=np.int64)
             )
-            assert np.array_equal(uniform, per_block)
+            assert np.array_equal(kernel.descale(window[dy + 3, dx + 3]), per_block)
+
+    def test_window_requires_exact_integer_mode(self):
+        frame = np.full((16, 16), 1.0 / 3.0)
+        with pytest.raises(RuntimeError, match="exact-integer"):
+            SadKernel(frame, frame, block_size=8, search_range=2).sad_window()
 
     def test_integer_and_float_modes_agree_on_integer_frames(self):
         rng = np.random.default_rng(1)
@@ -246,50 +253,93 @@ class TestStepNeighbourhood:
                     assert np.array_equal(sad[valid], expected[valid])
 
 
-def _uniform_case(case):
-    """Frames and block size that send ``sad_uniform`` down one integer path."""
+def _window_case(case):
+    """Frames and block size that send ``sad_window`` down one integer path."""
     rng = np.random.default_rng(17)
-    if case == "uint8_float32_reduction":
+    if case == "uint8":
         shape, block_size = (48, 64), 16
         frames = [rng.integers(0, 256, shape).astype(np.uint8) for _ in range(2)]
-    elif case == "uint8_integer_reduction":
-        # 255 * 264**2 >= 2**24: float32 could no longer hold every block SAD.
+    elif case == "uint8_wide_columns":
+        # 255 * 264 > 2**16: a column partial no longer fits uint16.  The
+        # first block differs by 255 everywhere, so its partials reach that.
         shape, block_size = (264, 528), 264
         frames = [rng.integers(0, 256, shape).astype(np.uint8) for _ in range(2)]
-    elif case == "int16_float32_reduction":
+        frames[0][:, :264] = 255
+        frames[1][:, :264] = 0
+    elif case == "int16_q8_4":
         # Q8.4 lattice floats are matched as int16 multiples of 1/16.
         shape, block_size = (48, 64), 16
         frames = [np.round(rng.uniform(0, 255, shape) * 16) / 16 for _ in range(2)]
-    else:  # "int32_integer_reduction"
+    else:  # "int32"
         shape, block_size = (48, 64), 16
         frames = [rng.integers(-(2**20), 2**20, shape).astype(np.int64) for _ in range(2)]
     return frames[0], frames[1], block_size
 
 
-class TestUniformShiftPrimitive:
-    """``SadKernel.sad_uniform``, the exhaustive-search primitive, is exact.
+def _assert_window_equals_float_mode(current, previous, block_size, search_range):
+    fast = SadKernel(current, previous, block_size, search_range)
+    slow = SadKernel(current, previous, block_size, search_range, exact_integer=False)
+    assert fast.exact_integer and not slow.exact_integer
+    window = fast.sad_window()
+    side = 2 * search_range + 1
+    assert window.shape == (side, side, fast.rows, fast.cols)
+    for dy in range(-search_range, search_range + 1):
+        for dx in range(-search_range, search_range + 1):
+            expected = slow.sad_per_block(dy, dx)
+            assert np.array_equal(
+                fast.descale(window[dy + search_range, dx + search_range]), expected
+            )
+    return fast, window
 
-    Every integer path (working dtype x float32-or-integer reduction) must
-    give the float-mode per-block gather's SADs at every window offset.
+
+class TestWindowPrimitive:
+    """``SadKernel.sad_window``, the exhaustive-search primitive, is exact.
+
+    Every integer path (working dtype x accumulator widths) and every band
+    layout must give the float-mode per-block gather's SADs at every window
+    offset.
     """
 
     @pytest.mark.parametrize(
-        "case, work_dtype, float32_reduction",
+        "case, work_dtype, block_dtype",
         [
-            ("uint8_float32_reduction", np.uint8, True),
-            ("uint8_integer_reduction", np.uint8, False),
-            ("int16_float32_reduction", np.int16, True),
-            ("int32_integer_reduction", np.int32, False),
+            ("uint8", np.uint8, np.uint16),
+            ("uint8_wide_columns", np.uint8, np.int32),
+            ("int16_q8_4", np.int16, np.int32),
+            ("int32", np.int32, np.int32),
         ],
     )
-    def test_every_offset_equals_float_mode(self, case, work_dtype, float32_reduction):
-        current, previous, block_size = _uniform_case(case)
-        search_range = 2
-        fast = SadKernel(current, previous, block_size, search_range)
-        slow = SadKernel(current, previous, block_size, search_range, exact_integer=False)
-        assert fast.exact_integer and not slow.exact_integer
+    def test_every_offset_equals_float_mode(self, case, work_dtype, block_dtype):
+        current, previous, block_size = _window_case(case)
+        fast, window = _assert_window_equals_float_mode(current, previous, block_size, 2)
         assert fast._current.dtype == work_dtype
-        assert fast._f32_reduction_exact == float32_reduction
-        for dy in range(-search_range, search_range + 1):
-            for dx in range(-search_range, search_range + 1):
-                assert np.array_equal(fast.sad_uniform(dy, dx), slow.sad_per_block(dy, dx))
+        assert window.dtype == block_dtype
+
+    @pytest.mark.parametrize(
+        "height, width, block_size, search_range",
+        [
+            (112, 192, 16, 7),  # tracking-pool geometry: 7 block rows, bands of 5 + 2
+            (16, 80, 16, 7),  # a single block row
+            (48, 64, 16, 0),  # d = 0: the co-located block only
+            (16, 24, 8, 12),  # a window wider than the frame
+        ],
+    )
+    def test_band_and_window_geometries(self, height, width, block_size, search_range):
+        rng = np.random.default_rng(height * width + search_range)
+        current = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        previous = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        _assert_window_equals_float_mode(current, previous, block_size, search_range)
+
+    def test_tracking_geometry_spans_a_partial_band(self):
+        side, block_size, width = 15, 16, 192
+        band_rows = kernels._BAND_BYTES // (block_size * side * width)
+        assert 1 < band_rows < 7 and 7 % band_rows
+
+    @pytest.mark.parametrize("band_rows", [1, 2, 3, 4])
+    def test_forced_band_heights(self, monkeypatch, band_rows):
+        """Bands of every height up to the frame's, ragged last band included."""
+        rng = np.random.default_rng(band_rows)
+        current = rng.integers(0, 256, (40, 48)).astype(np.uint8)
+        previous = rng.integers(0, 256, (40, 48)).astype(np.uint8)
+        monkeypatch.setattr(kernels, "_BAND_BYTES", band_rows * 8 * 7 * 48)
+        _assert_window_equals_float_mode(current, previous, 8, 3)
