@@ -24,52 +24,24 @@ run **appends** a dated ``benchmark: "pipeline"`` entry recording:
 * the peak heap churn of one steady-state E-frame ``submit()`` measured
   under ``tracemalloc`` (the allocation-free-steady-state guard).
 
-``--guard`` enforces the ``min_pipeline_blend_speedup_vs_reference_720p``
-floor and the ``max_pipeline_alloc_mb_per_eframe_720p`` ceiling stored in the
-trajectory file.  Wall-clock floors are same-run ratios on purpose: absolute
-fps is machine-dependent, but "vectorized blend beats the scalar loop by
->= Nx" and "an E-frame allocates under M MB" hold on any box.
+``--guard`` enforces this bench's rows of the floor table in
+``benchmarks/guard.py``: the blend-vs-reference speedup floor and the
+E-frame allocation ceiling.  Wall-clock floors are same-run ratios on
+purpose: absolute fps is machine-dependent, but "vectorized blend beats the
+scalar loop by >= Nx" and "an E-frame allocates under M MB" hold on any box.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from run_motion_bench import load_trajectory  # noqa: E402
-
-from repro.core.spec import PipelineSpec  # noqa: E402
-from repro.harness.perf import RESOLUTIONS  # noqa: E402
-from repro.harness.pipeline_perf import (  # noqa: E402
-    SCHEDULES,
-    benchmark_pipeline,
-    make_sequence,
-)
-
-#: Floors seeded into the trajectory when absent (the stored values are
-#: authoritative afterwards).  Calibrated in this file's first post-
-#: optimization entry; see docs/benchmarking.md for the recalibration rules.
-PIPELINE_FLOORS = {
-    # Vectorized/compiled denoise blend vs the retained scalar reference on
-    # identical inputs (same-run ratio of the steady-state call: warmed
-    # scratch pool, preallocated out, raw uint8 frame; measured ~9x on the
-    # dev box — the synthetic clips steer the kernel down its *dense* path,
-    # the slowest of the three, so this is the conservative ratio).
-    "min_pipeline_blend_speedup_vs_reference_720p": 6.0,
-    # Peak tracemalloc churn of one steady-state 720p E-frame submit().  The
-    # pre-optimization path allocated ~50 MB/frame; the scratch-buffer steady
-    # state measures ~8 MB (the numpy gather temp), so 16 MB catches any
-    # reintroduced per-frame allocation of even one extra frame-sized array.
-    "max_pipeline_alloc_mb_per_eframe_720p": 16.0,
-}
+import guard
+from repro.core.spec import PipelineSpec
+from repro.harness.perf import RESOLUTIONS
+from repro.harness.pipeline_perf import SCHEDULES, benchmark_pipeline, make_sequence
 
 #: Presets: name -> (resolution subset or None for all, frames per run).
 PRESETS = {
@@ -84,17 +56,12 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     """Same-run speedup of the dispatched blend over the scalar reference.
 
     Measures the *steady-state* call exactly as a session pays it: the raw
-    uint8 frame handed straight to the kernel, a preallocated output buffer
-    and the stage's warmed gather-staging pool — the allocating first-call
-    path would understate the speedup the session actually sees.  Returns
-    ``None`` when the oracle layer is unavailable (pre-refactor checkouts),
-    so the bench still produces baseline e2e entries there.
+    uint8 frame handed straight to the kernel and a preallocated output
+    buffer — the allocating first-call path would understate the speedup
+    the session actually sees.
     """
-    try:
-        from repro.isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
-        from repro.isp.reference import reference_motion_compensated_blend
-    except ImportError:
-        return None
+    from repro.isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
+    from repro.isp.reference import reference_motion_compensated_blend
 
     sequence = make_sequence(height, width, 4, seed=seed)
     frames = [frame for _, frame in sequence.iter_frames()]
@@ -126,7 +93,7 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     def optimized():
         return stage._motion_compensated_blend(current, previous, field, out=out)
 
-    optimized()  # warm the gather-staging pool, like the session's steady state
+    optimized()  # warm-up, like the session's steady state
     optimized_s = best_of(optimized)
     reference_s = best_of(
         lambda: reference_motion_compensated_blend(
@@ -154,40 +121,7 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     }
 
 
-def check_floors(entry: dict, floors: dict) -> list:
-    """Return floor-violation strings for ``entry`` (empty = healthy)."""
-    violations = []
-    by_resolution = {result["resolution"]: result for result in entry["results"]}
-
-    floor = floors.get("min_pipeline_blend_speedup_vs_reference_720p")
-    if floor is not None and "720p" in by_resolution:
-        blend = by_resolution["720p"].get("blend_vs_reference")
-        if blend is None:
-            violations.append(
-                "720p entry has no blend_vs_reference measurement "
-                "(oracle layer missing?)"
-            )
-        elif blend["speedup"] < floor:
-            violations.append(
-                f"720p blend speedup vs reference {blend['speedup']:.2f}x "
-                f"< floor {floor}x"
-            )
-
-    ceiling = floors.get("max_pipeline_alloc_mb_per_eframe_720p")
-    if ceiling is not None and "720p" in by_resolution:
-        alloc = by_resolution["720p"].get("e_frame_alloc_mb")
-        if alloc is None:
-            violations.append("720p entry has no e_frame_alloc_mb measurement")
-        elif alloc > ceiling:
-            violations.append(
-                f"720p E-frame alloc {alloc:.1f} MB > ceiling {ceiling} MB"
-            )
-    return violations
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--preset", choices=sorted(PRESETS), default="full")
+def add_options(parser) -> None:
     parser.add_argument("--frames", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -196,46 +130,25 @@ def main() -> int:
         default="numpy",
         help="kernel backend the sessions request (graceful numpy fallback)",
     )
-    parser.add_argument(
-        "--trajectory",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_motion.json",
-    )
-    parser.add_argument(
-        "--guard",
-        action="store_true",
-        help="exit 1 when a stored pipeline floor is violated",
-    )
-    args = parser.parse_args()
 
+
+def measure(args) -> dict:
     resolutions, preset_frames = PRESETS[args.preset]
-    num_frames = args.frames or preset_frames
     spec = PipelineSpec(kernel_backend=args.kernel_backend)
-
     entry = benchmark_pipeline(
         spec,
         resolutions=resolutions,
-        num_frames=num_frames,
+        num_frames=args.frames or preset_frames,
         seed=args.seed,
     )
     for result in entry["results"]:
-        blend = measure_blend_speedup(
+        result["blend_vs_reference"] = measure_blend_speedup(
             spec, result["height"], result["width"], args.seed
         )
-        if blend is not None:
-            result["blend_vs_reference"] = blend
+    return entry
 
-    entry["date"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    entry["preset"] = args.preset
-    entry["python"] = platform.python_version()
-    entry["machine"] = platform.machine()
 
-    trajectory = load_trajectory(args.trajectory)
-    for key, value in PIPELINE_FLOORS.items():
-        trajectory["floors"].setdefault(key, value)
-    trajectory["entries"].append(entry)
-    args.trajectory.write_text(json.dumps(trajectory, indent=2) + "\n")
-
+def summarize(entry: dict) -> None:
     for result in entry["results"]:
         for schedule in SCHEDULES:
             timing = result[schedule]
@@ -246,25 +159,12 @@ def main() -> int:
                 f"({timing['e_fps']:.2f} fps), "
                 f"I-frame {timing['i_s_per_frame'] * 1e3:.1f} ms"
             )
-        blend = result.get("blend_vs_reference")
-        if blend is not None:
-            print(
-                f"{result['resolution']} blend vs reference: "
-                f"{blend['speedup']:.1f}x"
-            )
-        alloc = result.get("e_frame_alloc_mb")
-        if alloc is not None:
-            print(f"{result['resolution']} E-frame alloc: {alloc:.1f} MB")
-
-    violations = check_floors(entry, trajectory["floors"])
-    for violation in violations:
-        print(f"FLOOR VIOLATION: {violation}")
-    if args.guard and violations:
-        return 1
-    if violations:
-        print("(not guarding: run with --guard to fail on violations)")
-    return 0
+        print(
+            f"{result['resolution']} blend vs reference: "
+            f"{result['blend_vs_reference']['speedup']:.1f}x; "
+            f"E-frame alloc: {result['e_frame_alloc_mb']:.1f} MB"
+        )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(guard.main(__doc__, PRESETS, measure, summarize, add_options))

@@ -16,39 +16,34 @@ their frames with configurable injected faults:
 
 * ``drop``    — each frame is lost in flight with probability ``--drop-rate``;
 * ``reorder`` — adjacent frames swap places with probability ``--reorder-rate``;
-* ``burst``   — with probability ``--burst-rate`` a camera sends its next
+* ``burst``   — with probability :data:`BURST_RATE` a camera sends its next
   three frames back-to-back instead of round-robin pacing.
 
 Per run the entry records client-observed p50/p99 result-ack latency,
 per-stream modeled energy (the graceful drain settles the shared SoC pool,
 so the aggregate is the *exact* shared-static-power figure), and the
 server-side fault counters (gaps sealed, duplicates, late drops,
-reorderings, overload drops).  ``--guard`` enforces the
-``max_serve_p99_latency_ms`` ceiling stored in the trajectory file.
+reorderings, overload drops).  ``--guard`` enforces this bench's rows of
+the floor table in ``benchmarks/guard.py``: the p99 latency ceiling, and at
+least one result ack.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import random
 import sys
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
+import guard
 from repro.core.backends import tracking_backend_for
-from repro.core.ingest import IngestConfig, IngestCore, OVERLOAD_POLICIES
+from repro.core.ingest import IngestConfig, IngestCore
 from repro.core.server import ServeClient, ServerThread
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
 from repro.nn.models import build_mdnet
 from repro.soc.frame_cost import CapacityModel
 from repro.video.synthetic import SequenceConfig, SequenceGenerator
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from run_motion_bench import load_trajectory  # noqa: E402
 
 #: Presets: name -> (cameras, frames per camera, frame width, frame height).
 PRESETS = {
@@ -61,8 +56,13 @@ PRESETS = {
 
 FAULT_KINDS = ("drop", "reorder", "burst")
 
-#: Default p99 ceiling written into the trajectory floors on first use.
-DEFAULT_P99_CEILING_MS = 1500.0
+#: Probability a camera bursts 3 frames per round under the burst fault.
+BURST_RATE = 0.1
+#: Per-stream bounded ready-queue depth, and what a full queue does.
+QUEUE_CAPACITY = 32
+OVERLOAD_POLICY = "degrade"
+#: Fraction of the capacity budget the fleet declares.
+TARGET_UTILIZATION = 0.9
 
 
 def make_cameras(count: int, frames: int, width: int, height: int, seed: int):
@@ -116,11 +116,6 @@ def benchmark_serving(
     faults: set,
     drop_rate: float,
     reorder_rate: float,
-    burst_rate: float,
-    workers: int,
-    queue_capacity: int,
-    overload_policy: str,
-    target_utilization: float,
 ) -> dict:
     sequences = make_cameras(cameras, frames, width, height, seed)
     soc = spec.vision_soc()
@@ -131,18 +126,18 @@ def benchmark_serving(
         if isinstance(spec.extrapolation_window, int)
         else 1
     )
-    # Declared per-camera rate: fill ``target_utilization`` of the shared
+    # Declared per-camera rate: fill ``TARGET_UTILIZATION`` of the shared
     # backend across all cameras, so admission control admits the whole
     # fleet while still pricing it against the real budget.
     service_s = capacity.frame_service_time_s(window_size)
-    declared_fps = target_utilization / (cameras * service_s)
+    declared_fps = TARGET_UTILIZATION / (cameras * service_s)
 
     multiplexer = StreamMultiplexer(
         spec.build(tracking_backend_for("mdnet", seed=seed)),
         soc=soc,
         network=network,
         extrapolation_on_cpu=spec.extrapolation_on_cpu,
-        workers=workers,
+        workers=spec.workers,
         transport=spec.transport,
         isolate_failures=True,
     )
@@ -150,7 +145,7 @@ def benchmark_serving(
         multiplexer,
         capacity=capacity,
         config=IngestConfig(
-            queue_capacity=queue_capacity, overload_policy=overload_policy
+            queue_capacity=QUEUE_CAPACITY, overload_policy=OVERLOAD_POLICY
         ),
     )
 
@@ -198,7 +193,7 @@ def benchmark_serving(
                 for index in sorted(live):
                     sequence, schedule = sequences[index], schedules[index]
                     burst = (
-                        3 if "burst" in faults and rng.random() < burst_rate else 1
+                        3 if "burst" in faults and rng.random() < BURST_RATE else 1
                     )
                     for _ in range(burst):
                         if cursors[index] >= len(schedule):
@@ -258,11 +253,11 @@ def benchmark_serving(
         "faults": sorted(faults),
         "drop_rate": drop_rate if "drop" in faults else 0.0,
         "reorder_rate": reorder_rate if "reorder" in faults else 0.0,
-        "burst_rate": burst_rate if "burst" in faults else 0.0,
+        "burst_rate": BURST_RATE if "burst" in faults else 0.0,
         "workers": report.workers,
         "transport": report.transport,
-        "overload_policy": overload_policy,
-        "queue_capacity": queue_capacity,
+        "overload_policy": OVERLOAD_POLICY,
+        "queue_capacity": QUEUE_CAPACITY,
         "declared_fps_per_camera": declared_fps,
         "projected_utilization": (
             projection.utilization if projection is not None else None
@@ -292,38 +287,24 @@ def benchmark_serving(
     }
 
 
-def check_latency_floor(entry: dict, floors: dict) -> list:
-    ceiling = floors.get("max_serve_p99_latency_ms")
-    violations = []
-    if not entry["result_acks"]:
-        violations.append("max_serve_p99_latency_ms: no result acks were observed")
-    elif ceiling is not None and entry["latency_p99_ms"] > ceiling:
-        violations.append(
-            f"max_serve_p99_latency_ms: measured p99 {entry['latency_p99_ms']:.1f} ms "
-            f"> ceiling {ceiling:.1f}"
+def parse_faults(text: str) -> set:
+    faults = {fault for fault in text.split(",") if fault}
+    unknown = faults - set(FAULT_KINDS)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown fault(s) {sorted(unknown)}; expected {FAULT_KINDS}"
         )
-    return violations
+    return faults
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_motion.json",
-        help="trajectory JSON to append to (default: repo-root BENCH_motion.json)",
-    )
-    parser.add_argument(
-        "--preset", choices=sorted(PRESETS), default="full",
-        help="workload preset (default: full)",
-    )
+def add_options(parser) -> None:
     parser.add_argument("--cameras", type=int, default=None, help="override camera count")
     parser.add_argument(
         "--frames", type=int, default=None, help="override frames per camera"
     )
     parser.add_argument("--seed", type=int, default=0, help="content/fault seed")
     parser.add_argument(
-        "--faults", default="",
+        "--faults", type=parse_faults, default=set(),
         help=f"comma list of injected faults from {FAULT_KINDS} (default: none)",
     )
     parser.add_argument(
@@ -334,80 +315,28 @@ def main() -> int:
         "--reorder-rate", type=float, default=0.05,
         help="adjacent-swap probability under the reorder fault (default: 0.05)",
     )
-    parser.add_argument(
-        "--burst-rate", type=float, default=0.1,
-        help="probability a camera bursts 3 frames per round (default: 0.1)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker shards serving the streams (default: the spec's "
-        "--exec-workers value; 1 stays in-process)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=32,
-        help="per-stream bounded ready-queue depth (default: 32)",
-    )
-    parser.add_argument(
-        "--overload-policy", choices=list(OVERLOAD_POLICIES), default="degrade",
-        help="what a full ready queue does (default: degrade)",
-    )
-    parser.add_argument(
-        "--target-utilization", type=float, default=0.9,
-        help="fraction of the capacity budget the fleet declares (default: 0.9)",
-    )
-    parser.add_argument(
-        "--guard", action="store_true",
-        help="exit non-zero when p99 latency breaches the "
-        "max_serve_p99_latency_ms ceiling stored in the trajectory file "
-        "(the CI serve-smoke job runs this)",
-    )
     PipelineSpec.add_cli_options(parser)
-    args = parser.parse_args()
 
+
+def measure(args) -> dict:
     cameras, frames, width, height = PRESETS[args.preset]
-    if args.cameras is not None:
-        cameras = args.cameras
-    if args.frames is not None:
-        frames = args.frames
-    faults = {f for f in args.faults.split(",") if f}
-    unknown = faults - set(FAULT_KINDS)
-    if unknown:
-        parser.error(f"unknown fault(s) {sorted(unknown)}; expected {FAULT_KINDS}")
-    spec = PipelineSpec.from_cli_args(args)
-    workers = args.workers if args.workers is not None else spec.workers
-
-    entry = benchmark_serving(
-        spec,
-        cameras=cameras,
-        frames=frames,
+    return benchmark_serving(
+        PipelineSpec.from_cli_args(args),
+        cameras=args.cameras or cameras,
+        frames=args.frames or frames,
         width=width,
         height=height,
         seed=args.seed,
-        faults=faults,
+        faults=args.faults,
         drop_rate=args.drop_rate,
         reorder_rate=args.reorder_rate,
-        burst_rate=args.burst_rate,
-        workers=workers,
-        queue_capacity=args.queue_capacity,
-        overload_policy=args.overload_policy,
-        target_utilization=args.target_utilization,
     )
-    entry["date"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    entry["preset"] = args.preset
-    entry["python"] = platform.python_version()
-    entry["machine"] = platform.machine()
 
-    document = load_trajectory(args.output)
-    document.setdefault("floors", {}).setdefault(
-        "max_serve_p99_latency_ms", DEFAULT_P99_CEILING_MS
-    )
-    document["entries"].append(entry)
-    args.output.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"appended serve entry {len(document['entries'])} to {args.output}")
 
+def summarize(entry: dict) -> None:
     totals = entry["fault_totals"]
     print(
-        f"  {cameras} cameras x {frames} frames over TCP "
+        f"  {entry['cameras']} cameras x {entry['frames_per_camera']} frames over TCP "
         f"({entry['spec_label']}, {entry['workers']} worker(s), "
         f"{entry['transport']} transport, faults: "
         f"{','.join(entry['faults']) or 'none'}): "
@@ -430,16 +359,6 @@ def main() -> int:
         f"{totals.get('degraded_submits', 0)} degraded submits"
     )
 
-    if args.guard:
-        violations = check_latency_floor(entry, document.get("floors", {}))
-        if violations:
-            for violation in violations:
-                print(f"LATENCY FLOOR VIOLATION: {violation}", file=sys.stderr)
-            return 1
-        ceiling = document["floors"]["max_serve_p99_latency_ms"]
-        print(f"latency floors OK: max_serve_p99_latency_ms={ceiling}")
-    return 0
-
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard.main(__doc__, PRESETS, measure, summarize, add_options))

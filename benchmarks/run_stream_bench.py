@@ -18,10 +18,10 @@ interleaving, batched I-frame inference) and records, per run:
   the multiplexed/serial throughput ratio (~1.0 on one core — the
   multiplexer adds scheduling, not parallelism — but the entry tracks the
   scheduling overhead staying negligible);
-* the worker-shard count and resolved frame-transport mode (``--workers 2``
-  runs the same workload over worker processes with frames crossing the
-  shared-memory transport; outputs are bit-identical, so the entry isolates
-  the transport/scheduling overhead).
+* the worker-shard count and resolved frame-transport mode (the spec's
+  ``--exec-workers 2`` runs the same workload over worker processes with
+  frames crossing the shared-memory transport; outputs are bit-identical,
+  so the entry isolates the transport/scheduling overhead).
 
 Each run **appends** a dated ``benchmark: "multi_stream"`` entry to the same
 trajectory file the motion bench uses, so the perf history of both hot
@@ -30,26 +30,23 @@ paths accumulates in one place.  The pipeline configuration is a
 (``--window``, ``--block-size``, ...); the recorded entry stores
 ``spec.to_cli_args()`` so any measurement can be reproduced by pasting the
 flags back.
+
+``--guard`` enforces this bench's row of the floor table in
+``benchmarks/guard.py``: the ceiling on each stream's modeled energy per
+frame.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
+import guard
 from repro.core.backends import tracking_backend_for
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import SCHEDULING_POLICIES, StreamMultiplexer
 from repro.nn.models import build_mdnet
 from repro.video.synthetic import SequenceConfig, SequenceGenerator
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from run_motion_bench import load_trajectory  # noqa: E402
 
 #: Presets: name -> (streams, frames per stream, frame width, frame height).
 PRESETS = {
@@ -57,6 +54,11 @@ PRESETS = {
     # Small CI preset: enough frames for several full EW cycles per stream.
     "ci": (4, 24, 192, 108),
 }
+
+#: Max consecutive E-frames per stream per scheduling round.
+E_FRAME_BURST = 4
+#: Max I-frames grouped into one inference batch.
+MAX_INFERENCE_BATCH = 4
 
 
 def make_streams(count: int, frames: int, width: int, height: int, seed: int):
@@ -83,11 +85,7 @@ def benchmark_multiplexer(
     width: int,
     height: int,
     seed: int,
-    e_frame_burst: int,
-    max_inference_batch: int,
     policy: str = "fair",
-    workers: int = 1,
-    transport: str = "auto",
 ) -> dict:
     sequences = make_streams(streams, frames, width, height, seed)
     backend = tracking_backend_for("mdnet", seed=seed)
@@ -124,14 +122,14 @@ def benchmark_multiplexer(
     # (batched I-frames amortise NNX weight traffic across streams).
     multiplexer = StreamMultiplexer(
         spec.build(backend),
-        e_frame_burst=e_frame_burst,
-        max_inference_batch=max_inference_batch,
+        e_frame_burst=E_FRAME_BURST,
+        max_inference_batch=MAX_INFERENCE_BATCH,
         policy=policy,
         soc=spec.vision_soc(),
         network=build_mdnet(),
         extrapolation_on_cpu=spec.extrapolation_on_cpu,
-        workers=workers,
-        transport=transport,
+        workers=spec.workers,
+        transport=spec.transport,
     )
     for sequence in sequences:
         stream_id = multiplexer.add_stream(sequence)
@@ -149,8 +147,8 @@ def benchmark_multiplexer(
         "frames_per_stream": frames,
         "frame_width": width,
         "frame_height": height,
-        "e_frame_burst": e_frame_burst,
-        "max_inference_batch": max_inference_batch,
+        "e_frame_burst": E_FRAME_BURST,
+        "max_inference_batch": MAX_INFERENCE_BATCH,
         "workers": report.workers,
         "transport": report.transport,
         "total_frames": report.frames_processed,
@@ -194,114 +192,38 @@ def benchmark_multiplexer(
     }
 
 
-def check_energy_floors(entry: dict, floors: dict) -> list:
-    """Violations of the stored multi-stream energy ceiling (if any)."""
-    ceiling = floors.get("max_stream_energy_per_frame_mj")
-    if ceiling is None:
-        return []
-    violations = []
-    for stream in entry["per_stream"]:
-        value = stream.get("energy_per_frame_mj")
-        if value is None:
-            violations.append(
-                f"max_stream_energy_per_frame_mj: stream '{stream['name']}' "
-                "recorded no energy (energy model not attached?)"
-            )
-        elif value > ceiling:
-            violations.append(
-                f"max_stream_energy_per_frame_mj: stream '{stream['name']}' "
-                f"measured {value:.2f} mJ/frame > ceiling {ceiling:.2f}"
-            )
-    return violations
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_motion.json",
-        help="trajectory JSON to append to (default: repo-root BENCH_motion.json)",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        default="full",
-        help="workload preset (default: full)",
-    )
+def add_options(parser) -> None:
     parser.add_argument("--streams", type=int, default=None, help="override stream count")
     parser.add_argument(
         "--frames", type=int, default=None, help="override frames per stream"
     )
     parser.add_argument("--seed", type=int, default=0, help="content seed (default: 0)")
     parser.add_argument(
-        "--e-frame-burst",
-        type=int,
-        default=4,
-        help="max consecutive E-frames per stream per scheduling round (default: 4)",
-    )
-    parser.add_argument(
-        "--max-inference-batch",
-        type=int,
-        default=4,
-        help="max I-frames grouped into one inference batch (default: 4)",
-    )
-    parser.add_argument(
         "--policy",
         choices=list(SCHEDULING_POLICIES),
         default="fair",
         help="scheduling policy (default: fair)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker shards serving the streams (default: the spec's "
-        "--exec-workers value; 1 stays in-process)",
-    )
-    parser.add_argument(
-        "--guard",
-        action="store_true",
-        help="exit non-zero when the per-stream modeled energy breaches the "
-        "max_stream_energy_per_frame_mj ceiling stored in the trajectory "
-        "file (the CI perf-guard job runs this)",
-    )
     PipelineSpec.add_cli_options(parser)
-    args = parser.parse_args()
 
+
+def measure(args) -> dict:
     streams, frames, width, height = PRESETS[args.preset]
-    if args.streams is not None:
-        streams = args.streams
-    if args.frames is not None:
-        frames = args.frames
-    spec = PipelineSpec.from_cli_args(args)
-
-    workers = args.workers if args.workers is not None else spec.workers
-    entry = benchmark_multiplexer(
-        spec,
-        streams=streams,
-        frames=frames,
+    return benchmark_multiplexer(
+        PipelineSpec.from_cli_args(args),
+        streams=args.streams or streams,
+        frames=args.frames or frames,
         width=width,
         height=height,
         seed=args.seed,
-        e_frame_burst=args.e_frame_burst,
-        max_inference_batch=args.max_inference_batch,
         policy=args.policy,
-        workers=workers,
-        transport=spec.transport,
     )
-    entry["date"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    entry["preset"] = args.preset
-    entry["python"] = platform.python_version()
-    entry["machine"] = platform.machine()
 
-    document = load_trajectory(args.output)
-    document["entries"].append(entry)
-    args.output.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"appended multi-stream entry {len(document['entries'])} to {args.output}")
 
+def summarize(entry: dict) -> None:
     print(
-        f"  {streams} streams x {frames} frames ({entry['spec_label']}, "
+        f"  {entry['streams']} streams x {entry['frames_per_stream']} frames "
+        f"({entry['spec_label']}, "
         f"{entry['workers']} worker(s), {entry['transport']} transport): "
         f"mux {entry['mux_aggregate_fps']:.1f} fps aggregate "
         f"({entry['mux_vs_serial']:.2f}x serial), "
@@ -321,16 +243,6 @@ def main() -> int:
         f"{entry['aggregate_power_w']:.2f} W modeled SoC power"
     )
 
-    if args.guard:
-        violations = check_energy_floors(entry, document.get("floors", {}))
-        if violations:
-            for violation in violations:
-                print(f"ENERGY FLOOR VIOLATION: {violation}", file=sys.stderr)
-            return 1
-        ceiling = document.get("floors", {}).get("max_stream_energy_per_frame_mj")
-        print(f"energy floors OK: max_stream_energy_per_frame_mj={ceiling}")
-    return 0
-
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard.main(__doc__, PRESETS, measure, summarize, add_options))

@@ -15,12 +15,12 @@ trajectory file.  The sweep is then immediately re-run against the same
 store, and the entry records how many points the resume pass evaluated:
 anything but zero means the disk store stopped deduplicating work.
 
-``--guard`` enforces the tune floors stored in the file (the CI
-``perf-guard`` job runs this): the process exits non-zero when the
-frontier collapses below ``min_tune_frontier_points``, when the best
-achievable energy at seed accuracy rises above
-``max_tune_best_energy_per_frame_mj`` (the extrapolation scheduling or the
-cost core regressed), or when the resume pass re-evaluated anything.
+``--guard`` enforces this bench's rows of the floor table in
+``benchmarks/guard.py``: the process exits non-zero when the frontier
+collapses below ``min_tune_frontier_points``, when the best achievable
+energy at seed accuracy rises above ``max_tune_best_energy_per_frame_mj``
+(the extrapolation scheduling or the cost core regressed), or when the
+resume pass re-evaluated anything.
 
 Commit the refreshed JSON whenever the tuner, the spec surface, or the
 cost core changes.
@@ -28,54 +28,29 @@ cost core changes.
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
 import tempfile
-from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.harness.tune import best_at_baseline_accuracy, point_key, run_tune
-from repro.harness.tune import TUNE_PRESETS, TuneStore
+import guard
 from repro.core.spec import PipelineSpec
-
-#: Floors seeded into a fresh trajectory file.  The committed
-#: ``BENCH_motion.json`` carries the authoritative values; edit them there
-#: (with justification) rather than here.
-DEFAULT_FLOORS = {
-    # The ci space must keep a real accuracy/energy trade-off surface: a
-    # frontier of fewer than 3 non-dominated points means the sweep
-    # degenerated (every configuration collapsed onto one objective point).
-    "min_tune_frontier_points": 3,
-    # Ceiling on the best modeled energy-per-frame at >= seed accuracy on
-    # the ci space at ci fidelity (measured 15.17 mJ/frame: the EW-2
-    # baseline itself — the ci space's capture presets only cost more).
-    # The modeled energy is deterministic, so a breach means the
-    # extrapolation schedule or the CostMeter core regressed, not noise.
-    "max_tune_best_energy_per_frame_mj": 15.5,
-}
+from repro.harness.tune import (
+    TUNE_PRESETS,
+    TuneStore,
+    best_at_baseline_accuracy,
+    point_key,
+    run_tune,
+)
 
 #: Fidelity preset each bench preset measures at (the tune space is always
 #: ``ci``; ``full`` fidelity is the EXPERIMENTS.md configuration).
 PRESETS = {"ci": "ci", "full": "full"}
 
 
-def load_trajectory(path: Path) -> dict:
-    """Load (or initialise) the shared trajectory document."""
-    if not path.exists():
-        return {"schema": 2, "floors": dict(DEFAULT_FLOORS), "entries": []}
-    document = json.loads(path.read_text())
-    if "entries" not in document:
-        document = {"schema": 2, "floors": {}, "entries": [document]}
-    floors = document.setdefault("floors", {})
-    for key, value in DEFAULT_FLOORS.items():
-        floors.setdefault(key, value)
-    return document
-
-
-def measure(fidelity_preset: str, seed: int, workers: int | None) -> dict:
+def measure(args) -> dict:
     """One tune sweep + resume pass; returns the trajectory entry."""
+    fidelity_preset, seed = PRESETS[args.preset], args.seed
+    workers = args.workers if args.workers > 1 else None
     with tempfile.TemporaryDirectory(prefix="tune-bench-") as tmp:
         store_path = Path(tmp) / "store.jsonl"
         report = run_tune(
@@ -133,51 +108,7 @@ def measure(fidelity_preset: str, seed: int, workers: int | None) -> dict:
     return entry
 
 
-def check_floors(entry: dict, floors: dict) -> list:
-    """Return human-readable violations of the stored tune floors."""
-    violations = []
-    floor = floors.get("min_tune_frontier_points")
-    if floor is not None and entry["frontier_points"] < floor:
-        violations.append(
-            f"min_tune_frontier_points: frontier has {entry['frontier_points']} "
-            f"point(s) < floor {floor}"
-        )
-    ceiling = floors.get("max_tune_best_energy_per_frame_mj")
-    best = entry.get("best_energy_per_frame_mj")
-    if ceiling is not None:
-        if best is None:
-            violations.append(
-                "max_tune_best_energy_per_frame_mj: no best point was measured "
-                "(baseline configuration missing from the sweep?)"
-            )
-        elif best > ceiling:
-            violations.append(
-                f"max_tune_best_energy_per_frame_mj: measured {best:.2f} mJ "
-                f"> ceiling {ceiling:.2f} mJ"
-            )
-    if entry["resume_reevaluated"] != 0:
-        violations.append(
-            f"resume: second pass re-evaluated {entry['resume_reevaluated']} "
-            "point(s) (the disk store must make resume free)"
-        )
-    return violations
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_motion.json",
-        help="trajectory JSON to append to (default: repo-root BENCH_motion.json)",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        default="full",
-        help="dataset fidelity of the sweep: 'full' = the EXPERIMENTS.md "
-        "configuration, 'ci' = the small perf-guard profile (default: full)",
-    )
+def add_options(parser) -> None:
     parser.add_argument(
         "--seed", type=int, default=1, help="backend seed (default: 1)"
     )
@@ -189,26 +120,9 @@ def main() -> int:
         help="worker processes for sequence execution (default: 1, serial — "
         "adaptive-window points are only worker-invariant serially)",
     )
-    parser.add_argument(
-        "--guard",
-        action="store_true",
-        help="fail (exit 1) when the fresh measurement violates the tune "
-        "floors stored in the trajectory file",
-    )
-    args = parser.parse_args()
 
-    workers = args.workers if args.workers and args.workers > 1 else None
-    entry = measure(PRESETS[args.preset], args.seed, workers)
-    entry["date"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    entry["preset"] = args.preset
-    entry["python"] = platform.python_version()
-    entry["machine"] = platform.machine()
 
-    document = load_trajectory(args.output)
-    document["entries"].append(entry)
-    args.output.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"appended entry {len(document['entries'])} to {args.output}")
-
+def summarize(entry: dict) -> None:
     print(
         f"  {entry['candidates']} candidate(s), {entry['evaluated']} evaluated, "
         f"resume re-evaluated {entry['resume_reevaluated']}"
@@ -224,23 +138,6 @@ def main() -> int:
             f"{entry['best_energy_per_frame_mj']:.2f} mJ/frame"
         )
 
-    if args.guard:
-        violations = check_floors(entry, document["floors"])
-        if violations:
-            for violation in violations:
-                print(f"TUNE FLOOR VIOLATION — {violation}", file=sys.stderr)
-            return 1
-        relevant = {
-            key: value
-            for key, value in document["floors"].items()
-            if key.endswith("frontier_points") or "tune" in key
-        }
-        print(
-            "tune floors OK:",
-            ", ".join(f"{key}={value}" for key, value in relevant.items()),
-        )
-    return 0
-
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard.main(__doc__, PRESETS, measure, summarize, add_options))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from guard import floor
 from repro.harness.perf import (
     benchmark_motion_estimation,
     benchmark_small_frame_es,
@@ -35,7 +36,9 @@ def test_vectorized_tss_at_least_20x_scalar_at_720p():
     )
     entry = payload["results"][0]
     assert entry["vectorized_fps"] > entry["scalar_fps"]
-    assert entry["speedup"] >= 20.0, f"only {entry['speedup']:.1f}x"
+    assert entry["speedup"] >= floor("min_tss_speedup_720p").default, (
+        f"only {entry['speedup']:.1f}x"
+    )
 
 
 def test_vectorized_es_at_least_15x_scalar_on_720p_crop():
@@ -45,7 +48,7 @@ def test_vectorized_es_at_least_15x_scalar_on_720p_crop():
         include_fixed_point=False,
     )
     entry = payload["results"][0]
-    assert entry["es_speedup_vs_scalar"] >= 15.0, (
+    assert entry["es_speedup_vs_scalar"] >= floor("min_es_speedup_vs_scalar_720p").default, (
         f"only {entry['es_speedup_vs_scalar']:.1f}x"
     )
 
@@ -54,7 +57,7 @@ def test_vectorized_es_at_least_15x_scalar_at_192x108():
     """Small frames: the regime where per-call dispatch sets ES's speed."""
     small = benchmark_small_frame_es()
     assert small["frame"] == [108, 192]
-    assert small["es_speedup_vs_scalar"] >= 15.0, (
+    assert small["es_speedup_vs_scalar"] >= floor("min_es_speedup_vs_scalar_192x108").default, (
         f"only {small['es_speedup_vs_scalar']:.1f}x"
     )
 

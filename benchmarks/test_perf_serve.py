@@ -7,7 +7,7 @@ run explicitly with::
 
 CI runs the same workload through ``run_serve_bench.py --preset ci --faults
 drop,reorder --guard`` (the ``serve-smoke`` job), which also enforces the
-``max_serve_p99_latency_ms`` ceiling stored in ``BENCH_motion.json``.
+``max_serve_p99_latency_ms`` ceiling of the floor table in ``guard.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.spec import PipelineSpec
 
-from run_serve_bench import DEFAULT_P99_CEILING_MS, PRESETS, benchmark_serving
+from guard import floor
+from run_serve_bench import PRESETS, benchmark_serving
 
 pytestmark = pytest.mark.perf
 
@@ -33,11 +34,6 @@ def test_ci_preset_under_p99_ceiling():
         faults={"drop", "reorder"},
         drop_rate=0.05,
         reorder_rate=0.05,
-        burst_rate=0.0,
-        workers=1,
-        queue_capacity=32,
-        overload_policy="degrade",
-        target_utilization=0.9,
     )
     # The whole fleet was admitted and every surviving frame processed.
     assert entry["projected_utilization"] < 1.0
@@ -48,7 +44,7 @@ def test_ci_preset_under_p99_ceiling():
     assert entry["fault_totals"]["reordered"] > 0
     # Client-observed ack latency stays under the stored ceiling.
     assert entry["result_acks"] > 0
-    assert entry["latency_p99_ms"] <= DEFAULT_P99_CEILING_MS, (
+    assert entry["latency_p99_ms"] <= floor("max_serve_p99_latency_ms").default, (
         f"p99 {entry['latency_p99_ms']:.1f} ms over ceiling"
     )
     # Graceful drain settled the shared SoC pool exactly.

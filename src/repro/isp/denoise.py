@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..motion.block_matching import BlockMatcher, BlockMatchingConfig
-from ..motion.kernels import KernelScratch, resolve_kernel_backend
+from ..motion.kernels import resolve_kernel_backend
 from ..motion.motion_field import MotionField
 from . import kernels
 from .framebuffer import DEFAULT_FRAME_FORMAT, FixedPointFormat
@@ -107,8 +107,6 @@ class TemporalDenoiseStage:
         self._current_f64: Optional[np.ndarray] = None
         self._float_scratch: Optional[np.ndarray] = None
         self._reference_buffer: Optional[np.ndarray] = None
-        # Gather-staging pool for the numpy blend kernel (reused every frame).
-        self._blend_scratch = KernelScratch()
 
     @property
     def name(self) -> str:
@@ -289,7 +287,6 @@ class TemporalDenoiseStage:
             max_normalised_sad=self.config.max_normalised_sad,
             out=out,
             backend=self.kernel_backend,
-            scratch=self._blend_scratch,
         )
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..motion.kernels import KernelScratch, fixed_point_scale
+from ..motion.kernels import fixed_point_scale
 from ..motion.motion_field import MotionField
 from . import kernels_numba as _numba
 
@@ -44,7 +44,6 @@ def motion_compensated_blend(
     max_normalised_sad: float,
     out: Optional[np.ndarray] = None,
     backend: str = "numpy",
-    scratch: Optional[KernelScratch] = None,
 ) -> np.ndarray:
     """Blend each macroblock with its motion-compensated predecessor.
 
@@ -55,9 +54,6 @@ def motion_compensated_blend(
     promotes to float64), and uint8 -> float64 conversion is exact, so the
     result is bit-identical to widening the frame up front — the steady-state
     denoise stage exploits this to skip a full-frame copy per frame.
-    ``scratch`` pools the numpy path's gather staging across frames (the
-    steady-state caller passes the stage's pool; ad-hoc calls allocate a
-    private one).
     """
     height, width = current.shape
     if out is None:
@@ -73,11 +69,10 @@ def motion_compensated_blend(
         )
         return out
 
-    copied = False
     rows_full = height // block
     cols_full = width // block
+    valid = None
     if rows_full and cols_full:
-        pool = scratch if scratch is not None else KernelScratch()
         vectors = field.vectors[:rows_full, :cols_full]
         # The block content came from (x - u, y - v) in the previous frame
         # (forward-motion convention).
@@ -94,102 +89,18 @@ def motion_compensated_blend(
             & (src_y + block <= height)
             & (src_x + block <= width)
         )
-        rows_idx, cols_idx = np.nonzero(valid)
-        if rows_idx.size:
-            # Displacement of each valid block in pixels (the same rounded
-            # offsets the gathers use).  Real motion fields are coherent —
-            # typically one displacement (usually (0, 0)) covers nearly every
-            # block — so the dominant group is blended with one whole-frame
-            # element-wise pass over *views* of both frames, and only the
-            # leftover blocks pay the per-block gather.  Element-wise blends
-            # and exact value moves keep the result bit-identical to the
-            # all-gather path and the scalar reference.
-            disp_y = src_y[rows_idx, cols_idx] - rows_idx * block
-            disp_x = src_x[rows_idx, cols_idx] - cols_idx * block
-            disp_keys = (disp_y + height) * (2 * width + 1) + (disp_x + width)
-            unique_keys, first_index, key_counts = np.unique(
-                disp_keys, return_index=True, return_counts=True
-            )
-            dominant = int(np.argmax(key_counts))
-            total_blocks = rows_full * cols_full
-            use_dominant = key_counts[dominant] * 2 >= total_blocks
-            if not use_dominant and rows_idx.size * 3 >= total_blocks:
-                # No single displacement dominates, but valid blocks tile
-                # most of the grid: gather only the *source* side and write
-                # straight through a blocked view of ``out`` — no destination
-                # indices, no scatter, no current-frame gather.  The dense
-                # pass overwrites the whole full-block grid, so only the
-                # ragged edge strips need the ``current`` pre-fill.
-                grid_y = rows_full * block
-                grid_x = cols_full * block
-                out[grid_y:, :] = current[grid_y:, :]
-                out[:grid_y, grid_x:] = current[:grid_y, grid_x:]
-                copied = True
-                _blend_dense(
-                    out, current, previous, src_y, src_x, valid,
-                    rows_full, cols_full, block, strength,
-                )
-                rows_idx = rows_idx[:0]
-                cols_idx = cols_idx[:0]
-            if not copied:
-                np.copyto(out, current)
-                copied = True
-            if use_dominant:
-                member = disp_keys == unique_keys[dominant]
-                dy = int(disp_y[first_index[dominant]])
-                dx = int(disp_x[first_index[dominant]])
-                # The in-bounds destination rectangle for this displacement;
-                # every member block lies inside it by the validity check, so
-                # one element-wise pass over frame views blends them all.
-                # ``out`` never aliases ``current``/``previous`` (documented
-                # contract), so the blend lands directly in ``out``.
-                y_lo, y_hi = max(0, -dy), height - max(0, dy)
-                x_lo, x_hi = max(0, -dx), width - max(0, dx)
-                dst_view = out[y_lo:y_hi, x_lo:x_hi]
-                cur_view = current[y_lo:y_hi, x_lo:x_hi]
-                ref_view = previous[y_lo + dy : y_hi + dy, x_lo + dx : x_hi + dx]
-                ref_term = pool.get("blend_full", (height, width), np.float64)[
-                    y_lo:y_hi, x_lo:x_hi
-                ]
-                np.multiply(cur_view, 1.0 - strength, out=dst_view)
-                np.multiply(ref_view, strength, out=ref_term)
-                dst_view += ref_term
-                # The rectangle also swept over non-member pixels — blocks of
-                # other displacement groups, invalid blocks and the ragged
-                # edge strips.  Restore those to ``current`` (cheap: the
-                # dominant group covers at least half the grid), then blend
-                # the leftover valid groups through the gather path.
-                member_grid = pool.get(
-                    "blend_member", (rows_full, cols_full), np.bool_
-                )
-                member_grid[:] = False
-                member_grid[rows_idx[member], cols_idx[member]] = True
-                restore_r, restore_c = np.nonzero(~member_grid)
-                _restore_blocks(out, current, restore_r, restore_c, block)
-                _restore_edges(
-                    out, current, rows_full * block, cols_full * block,
-                    y_lo, y_hi, x_lo, x_hi,
-                )
-                rows_idx = rows_idx[~member]
-                cols_idx = cols_idx[~member]
-            if rows_idx.size:
-                _blend_gathered(
-                    out,
-                    current,
-                    previous,
-                    src_y,
-                    src_x,
-                    rows_idx,
-                    cols_idx,
-                    rows_full,
-                    cols_full,
-                    block,
-                    width,
-                    strength,
-                    pool,
-                )
-
-    if not copied:
+    if valid is not None and valid.any():
+        # The dense pass overwrites the whole full-block grid, so only the
+        # ragged edge strips need the ``current`` pre-fill.
+        grid_y = rows_full * block
+        grid_x = cols_full * block
+        out[grid_y:, :] = current[grid_y:, :]
+        out[:grid_y, grid_x:] = current[:grid_y, grid_x:]
+        _blend_dense(
+            out, current, previous, src_y, src_x, valid,
+            rows_full, cols_full, block, strength,
+        )
+    else:
         np.copyto(out, current)
 
     # Ragged frame edge: the partial blocks of the bottom row / right column
@@ -252,21 +163,18 @@ def _blend_dense(
     block: int,
     strength: float,
 ) -> None:
-    """Blend a near-dense valid grid without destination indexing.
+    """Blend every valid full block without destination indexing.
 
     Gathers each block's motion-compensated reference patch in one fancy
-    read through a sliding-window view of ``previous`` (no flat-index build,
-    so the gather reads patch data instead of patch data *plus* an
-    equal-sized int64 index array), then runs the blend element-wise through
-    blocked 4-D views of ``current``/``out`` — the destination side is the
-    grid itself, so there is no destination index and no scatter.  The
-    gathered patch array is the dense path's one per-frame temporary;
-    measured against the pooled flat-index gather it roughly halves the
-    reference-side cost, which is why this path trades it for the pool.
-    Invalid blocks get swept by the element-wise pass and are restored to
-    ``current`` afterwards (cheap: the grid is near-dense).  Per-element
-    arithmetic keeps the reference's ``(1-s)*current + s*reference`` operand
-    order, so results stay bit-identical.
+    read through a sliding-window view of ``previous``, then runs the blend
+    element-wise through blocked 4-D views of ``current``/``out`` — the
+    destination side is the grid itself, so there is no destination index
+    and no scatter.  The gathered patch array is the one per-frame
+    temporary.  Invalid blocks get swept by the element-wise pass and are
+    restored to ``current`` afterwards (cheap on real motion fields, where
+    nearly every block matches).  Per-element arithmetic keeps the
+    reference's ``(1-s)*current + s*reference`` operand order, so results
+    stay bit-identical.
     """
     grid_y = rows_full * block
     grid_x = cols_full * block
@@ -285,109 +193,11 @@ def _blend_dense(
     cur_blocks = _blocked_view(current[:grid_y, :grid_x], block)
     np.multiply(cur_blocks, 1.0 - strength, out=out_blocks)
     np.add(out_blocks, ref_blocks, out=out_blocks)
-    invalid_r, invalid_c = np.nonzero(~valid)
-    _restore_blocks(out, current, invalid_r, invalid_c, block)
-
-
-def _restore_blocks(
-    out: np.ndarray,
-    current: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    block: int,
-) -> None:
-    """Copy ``current`` back over ``out`` for the listed full blocks."""
-    for row, col in zip(rows.tolist(), cols.tolist()):
+    invalid_rows, invalid_cols = np.nonzero(~valid)
+    for row, col in zip(invalid_rows.tolist(), invalid_cols.tolist()):
         y0 = row * block
         x0 = col * block
-        out[y0 : y0 + block, x0 : x0 + block] = current[
-            y0 : y0 + block, x0 : x0 + block
-        ]
-
-
-def _restore_edges(
-    out: np.ndarray,
-    current: np.ndarray,
-    grid_y: int,
-    grid_x: int,
-    y_lo: int,
-    y_hi: int,
-    x_lo: int,
-    x_hi: int,
-) -> None:
-    """Copy ``current`` back over the ragged edge strips the whole-rectangle
-    blend swept through (rows below ``grid_y`` / columns right of ``grid_x``,
-    clipped to the blended rectangle)."""
-    if y_hi > grid_y:
-        lo = max(y_lo, grid_y)
-        out[lo:y_hi, x_lo:x_hi] = current[lo:y_hi, x_lo:x_hi]
-    if x_hi > grid_x:
-        lo = max(x_lo, grid_x)
-        top = min(y_hi, grid_y)
-        out[y_lo:top, lo:x_hi] = current[y_lo:top, lo:x_hi]
-
-
-def _blend_gathered(
-    out: np.ndarray,
-    current: np.ndarray,
-    previous: np.ndarray,
-    src_y: np.ndarray,
-    src_x: np.ndarray,
-    rows_idx: np.ndarray,
-    cols_idx: np.ndarray,
-    rows_full: int,
-    cols_full: int,
-    block: int,
-    width: int,
-    strength: float,
-    pool: KernelScratch,
-) -> None:
-    """Blend an arbitrary subset of full blocks via pooled flat-index gathers.
-
-    Flat-index gathers through pooled staging buffers instead of fancy
-    indexing a sliding-window view: ``np.take(..., out=)`` and the in-place
-    blend arithmetic leave the steady state with zero per-frame allocations,
-    and moving exact values through a different indexing scheme cannot
-    change them.  The blend keeps the reference's ``(1-s)*current +
-    s*reference`` operand order, so the float rounding matches bit for bit.
-    """
-    count = rows_idx.size
-    patch = block * block
-    capacity = rows_full * cols_full
-    offsets = (
-        np.arange(block)[:, None] * width + np.arange(block)[None, :]
-    ).ravel()
-    src_base = src_y[rows_idx, cols_idx] * width + src_x[rows_idx, cols_idx]
-    dst_base = (rows_idx * block) * width + cols_idx * block
-    src_flat = pool.get("blend_src_idx", (capacity, patch), np.int64)[:count]
-    dst_flat = pool.get("blend_dst_idx", (capacity, patch), np.int64)[:count]
-    np.add(src_base[:, None], offsets[None, :], out=src_flat)
-    np.add(dst_base[:, None], offsets[None, :], out=dst_flat)
-    ref_buf = pool.get("blend_ref", (capacity, patch), np.float64)[:count]
-    cur_buf = pool.get("blend_cur", (capacity, patch), np.float64)[:count]
-    np.take(previous.ravel(), src_flat, out=ref_buf)
-    if current.dtype == np.float64:
-        np.take(current.ravel(), dst_flat, out=cur_buf)
-        np.multiply(cur_buf, 1.0 - strength, out=cur_buf)
-    else:
-        # ``np.take`` needs a dtype-matched out buffer; stage the raw gather
-        # and widen through the multiply (uint8 -> float64 is exact).
-        raw_buf = pool.get(
-            "blend_cur_raw", (capacity, patch), current.dtype
-        )[:count]
-        np.take(current.ravel(), dst_flat, out=raw_buf)
-        np.multiply(raw_buf, 1.0 - strength, out=cur_buf)
-    np.multiply(ref_buf, strength, out=ref_buf)
-    np.add(cur_buf, ref_buf, out=ref_buf)
-    if out.flags.c_contiguous:
-        out.reshape(-1)[dst_flat] = ref_buf
-    else:
-        # reshape(-1) of a non-contiguous array would scatter into a copy;
-        # the blocked transpose view works for any layout.
-        blocked = out[: rows_full * block, : cols_full * block].reshape(
-            rows_full, block, cols_full, block
-        ).transpose(0, 2, 1, 3)
-        blocked[rows_idx, cols_idx] = ref_buf.reshape(count, block, block)
+        out[y0 : y0 + block, x0 : x0 + block] = current[y0 : y0 + block, x0 : x0 + block]
 
 
 def box_sum_3x3(

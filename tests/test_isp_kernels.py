@@ -8,17 +8,17 @@ kernels (:mod:`repro.isp.kernels_numba`, run as plain Python here when the
 both.  Every comparison is ``np.array_equal`` — bit-identity, never a
 tolerance.
 
-Coverage steers the numpy blend through all three of its internal paths:
+The numpy blend has one path (a source-side gather blended through blocked
+destination views, with invalid blocks restored); the motion fields vary
+its input:
 
-* **dominant** — one displacement covers at least half the macroblock grid
-  (whole-rectangle view blend + restore);
-* **dense** — many distinct displacements but a near-dense valid grid
-  (source-only gather through blocked destination views);
-* **sparse** — few valid blocks (pooled flat-index gather/scatter);
+* **dominant** — one displacement covers most of the macroblock grid;
+* **dense** — many distinct displacements over a near-dense valid grid;
+* **sparse** — few valid blocks;
 
 plus Q8.4 fixed-point frames, fractional float frames, ragged frame edges,
-``search_range=0`` fields, non-contiguous output buffers and scratch-pool
-reuse across frames.  A pinned end-to-end run asserts the vectorization
+``search_range=0`` fields, non-contiguous output buffers and one output
+buffer reused across frames.  A pinned end-to-end run asserts the vectorization
 never moved the *energy model* (satellite requirement: ``fold_energy_breakdown``
 unchanged).
 """
@@ -71,7 +71,7 @@ def make_field(
     mode: str,
     search_range: int = 3,
 ) -> MotionField:
-    """A motion field crafted to steer the blend down one internal path.
+    """A motion field with one displacement structure.
 
     ``mode`` picks the displacement structure: ``dominant`` makes one
     displacement cover most of the grid, ``dense`` scatters displacements
@@ -102,7 +102,7 @@ def make_field(
 
 
 class TestBlendBitIdentity:
-    """numpy blend == scalar reference, across all internal paths."""
+    """numpy blend == scalar reference, across field structures."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -126,7 +126,7 @@ class TestBlendBitIdentity:
 
     @pytest.mark.parametrize("mode", ["dominant", "dense", "sparse"])
     def test_each_path_with_ragged_edges(self, mode):
-        """Deterministic per-path coverage on a frame with partial edge blocks."""
+        """Deterministic per-mode coverage on a frame with partial edge blocks."""
         rng = np.random.default_rng(42)
         height, width, block = 43, 38, 8  # 5x4 full grid + ragged strips
         current = make_frame(rng, height, width, "uint8")
@@ -139,7 +139,7 @@ class TestBlendBitIdentity:
         assert np.array_equal(got, expected)
 
     def test_search_range_zero_field(self):
-        """A zero field blends every block in place (the dominant (0,0) path)."""
+        """A zero field blends every block in place."""
         rng = np.random.default_rng(7)
         current = make_frame(rng, 32, 40, "q8.4")
         previous = make_frame(rng, 32, 40, "q8.4")
@@ -156,7 +156,7 @@ class TestBlendBitIdentity:
 
     @pytest.mark.parametrize("mode", ["dominant", "dense", "sparse"])
     def test_non_contiguous_out_buffer(self, mode):
-        """Every path writes correctly through a strided ``out`` view."""
+        """Every mode writes correctly through a strided ``out`` view."""
         rng = np.random.default_rng(11)
         height, width = 40, 44
         current = make_frame(rng, height, width, "uint8")
@@ -172,11 +172,10 @@ class TestBlendBitIdentity:
         )
         assert np.array_equal(out, expected)
 
-    def test_scratch_pool_reuse_across_paths(self):
-        """One KernelScratch serves successive frames on different paths."""
+    def test_out_buffer_reuse_across_modes(self):
+        """One ``out`` buffer serves successive frames of different modes."""
         rng = np.random.default_rng(23)
         height, width = 36, 36
-        pool = KernelScratch()
         out = np.empty((height, width), dtype=np.float64)
         for mode in ("dense", "dominant", "sparse", "dense", "zero"):
             current = make_frame(rng, height, width, "uint8")
@@ -185,9 +184,8 @@ class TestBlendBitIdentity:
             expected = reference_motion_compensated_blend(
                 current, previous, field, **BLEND
             )
-            got = motion_compensated_blend(
-                current, previous, field, out=out, scratch=pool, **BLEND
-            )
+            got = motion_compensated_blend(current, previous, field, out=out, **BLEND)
+            assert got is out
             assert np.array_equal(got, expected), mode
 
     @pytest.mark.parametrize("mode", ["dominant", "dense", "sparse", "zero"])
